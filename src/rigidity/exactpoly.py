@@ -11,6 +11,7 @@ of y.
 
 import math
 from fractions import Fraction
+from itertools import zip_longest
 
 __all__ = [
     "GaussianRational",
@@ -521,7 +522,13 @@ class BivariatePolynomial:
     def discriminant(self):
         """Resultant of P and dP/dy with respect to y, as a polynomial in t.
 
-        Vanishes identically exactly when P has a repeated factor in y.
+        Vanishes identically exactly when P has a repeated factor in y.  The
+        (2m - 1)-square Sylvester matrix (m = degree in y) is cleared of
+        denominators and reduced by fraction-free Bareiss elimination over
+        Gaussian-integer polynomials in t, with every division checked to be
+        exact.  That takes O(m**3) products and exact divisions of
+        polynomials whose degree in t and coefficient size grow linearly with
+        the elimination step, so the cost is polynomial in the input size.
         """
         if self.degree_y < 1:
             raise ValueError("discriminant needs degree >= 1 in y")
@@ -542,36 +549,135 @@ class BivariatePolynomial:
         return "BivariatePolynomial(" + " + ".join(parts) + ")"
 
 
-def _poly_matrix_det(rows):
-    """Determinant of a square matrix of RationalPoly via cofactor expansion."""
-    n = len(rows)
-    if n == 1:
-        return rows[0][0]
-    out = RationalPoly.zero()
-    for i in range(n):
-        pivot = rows[i][0]
-        if pivot.is_zero:
+# Gaussian-integer polynomials for the resultant kernel: ascending lists of
+# (re, im) int pairs without trailing zeros, so [] is the zero polynomial.
+# Functions here never mutate their arguments, which lets Sylvester rows
+# share coefficient lists.
+
+
+def _gi_trim(cs):
+    while cs and cs[-1] == (0, 0):
+        cs.pop()
+    return cs
+
+
+def _gi_mul(a, b):
+    if not a or not b:
+        return []
+    re = [0] * (len(a) + len(b) - 1)
+    im = [0] * len(re)
+    for i, (ar, ai) in enumerate(a):
+        if not (ar or ai):
             continue
-        minor = [r[1:] for j, r in enumerate(rows) if j != i]
-        term = pivot * _poly_matrix_det(minor)
-        out = out + (term if i % 2 == 0 else -term)
-    return out
+        for j, (br, bi) in enumerate(b):
+            re[i + j] += ar * br - ai * bi
+            im[i + j] += ar * bi + ai * br
+    return _gi_trim(list(zip(re, im)))
+
+
+def _gi_sub(a, b):
+    pairs = zip_longest(a, b, fillvalue=(0, 0))
+    return _gi_trim([(ar - br, ai - bi) for (ar, ai), (br, bi) in pairs])
+
+
+def _gi_exact_div(a, b):
+    """Quotient a / b of Gaussian-integer polynomials that must divide exactly.
+
+    Raises ArithmeticError when a coefficient quotient is not a Gaussian
+    integer or a nonzero remainder is left.
+    """
+    deg_b = len(b) - 1
+    if len(a) <= deg_b:
+        if a:
+            raise ArithmeticError("inexact polynomial division: degree too low")
+        return []
+    lr, li = b[-1]
+    norm = lr * lr + li * li
+    rem = list(a)
+    quot = [(0, 0)] * (len(a) - deg_b)
+    for k in range(len(a) - 1, deg_b - 1, -1):
+        cr, ci = rem[k]
+        if not (cr or ci):
+            continue
+        if li == 0:
+            qr, r_re = divmod(cr, lr)
+            qi, r_im = divmod(ci, lr)
+        else:
+            qr, r_re = divmod(cr * lr + ci * li, norm)
+            qi, r_im = divmod(ci * lr - cr * li, norm)
+        if r_re or r_im:
+            raise ArithmeticError("inexact polynomial division: coefficient remainder")
+        quot[k - deg_b] = (qr, qi)
+        for j, (br, bi) in enumerate(b):
+            rr, ri = rem[k - deg_b + j]
+            rem[k - deg_b + j] = (rr - qr * br + qi * bi, ri - qr * bi - qi * br)
+    if any(r != (0, 0) for r in rem[:deg_b]):
+        raise ArithmeticError("inexact polynomial division: nonzero remainder")
+    return quot
+
+
+def _bareiss_det(rows):
+    """Determinant of a square matrix of Gaussian-integer polynomials.
+
+    Fraction-free elimination (Bareiss, Math. Comp. 1968): after step k every
+    entry of the trailing block is a (k+1)-square minor of the input, so the
+    division by the previous pivot is exact.  A zero pivot is replaced by a
+    lower row with a nonzero entry in its column, flipping the sign; when no
+    such row exists the determinant is zero.  The rows are overwritten.
+    """
+    size = len(rows)
+    sign = 1
+    prev = [(1, 0)]
+    for k in range(size - 1):
+        if not rows[k][k]:
+            swap = next((i for i in range(k + 1, size) if rows[i][k]), None)
+            if swap is None:
+                return []
+            rows[k], rows[swap] = rows[swap], rows[k]
+            sign = -sign
+        pivot_row = rows[k]
+        pivot = pivot_row[k]
+        for row in rows[k + 1:]:
+            lead = row[k]
+            for j in range(k + 1, size):
+                entry = _gi_mul(row[j], pivot)
+                if lead and pivot_row[j]:
+                    entry = _gi_sub(entry, _gi_mul(lead, pivot_row[j]))
+                row[j] = _gi_exact_div(entry, prev)
+        prev = pivot
+    det = rows[-1][-1]
+    return det if sign > 0 else [(-re, -im) for re, im in det]
+
+
+def _gaussian_int_poly(poly, denom):
+    """Coefficients of denom * poly as (re, im) int pairs; denom clears them."""
+    return [(int(c.re * denom), int(c.im * denom)) for c in poly.coeffs]
 
 
 def _resultant_y(P, Q):
-    """Sylvester resultant of two bivariate polynomials, eliminating y."""
+    """Sylvester resultant of two bivariate polynomials, eliminating y.
+
+    The Sylvester matrix is scaled by the common denominator D of all
+    coefficients, its determinant is taken over the Gaussian integers by
+    _bareiss_det, and the result is divided by D**(m + n) at the end.
+    """
     m, n = P.degree_y, Q.degree_y
     if m == 0:
         return P.coeffs[0] ** n if n else RationalPoly.one()
     if n == 0:
         return Q.coeffs[0] ** m if m else RationalPoly.one()
+    denom = 1
+    for poly in P.coeffs + Q.coeffs:
+        for c in poly.coeffs:
+            denom = math.lcm(denom, c.re.denominator, c.im.denominator)
+    pc = [_gaussian_int_poly(c, denom) for c in reversed(P.coeffs)]
+    qc = [_gaussian_int_poly(c, denom) for c in reversed(Q.coeffs)]
     size = m + n
-    zero = RationalPoly.zero()
-    rows = []
-    pc = list(reversed(P.coeffs))
-    qc = list(reversed(Q.coeffs))
-    for i in range(n):
-        rows.append([zero] * i + pc + [zero] * (size - m - 1 - i))
-    for i in range(m):
-        rows.append([zero] * i + qc + [zero] * (size - n - 1 - i))
-    return _poly_matrix_det(rows)
+    rows = [[[]] * i + pc + [[]] * (size - m - 1 - i) for i in range(n)]
+    rows += [[[]] * i + qc + [[]] * (size - n - 1 - i) for i in range(m)]
+    scale = denom**size
+    return RationalPoly([
+        GaussianRational(Fraction(re, scale), Fraction(im, scale))
+        for re, im in _bareiss_det(rows)
+    ])
+

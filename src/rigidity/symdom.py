@@ -498,7 +498,9 @@ def _exact_branch_coefficient(z_exact, q, c_float):
             f"edge root {z_exact} has no rational {q}-th root; exact recursion "
             "is unavailable"
         )
-    return root if c_float >= 0 else -root
+    # for odd q the root already carries the sign of z_exact, so only the
+    # magnitude is taken from it and the sign from the numerical candidate
+    return abs(root) if c_float >= 0 else -abs(root)
 
 
 def _nonzero_discriminant_roots(P):

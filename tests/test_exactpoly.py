@@ -2,14 +2,68 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from rigidity import data
 from rigidity.exactpoly import (
     BivariatePolynomial,
     GaussianRational,
     RationalPoly,
+    _bareiss_det,
+    _gi_exact_div,
     rational_nth_root,
     rational_roots,
 )
+
+
+def _cofactor_det(rows):
+    """Determinant of a square matrix of RationalPoly via cofactor expansion."""
+    n = len(rows)
+    if n == 1:
+        return rows[0][0]
+    out = RationalPoly.zero()
+    for i in range(n):
+        pivot = rows[i][0]
+        if pivot.is_zero:
+            continue
+        minor = [r[1:] for j, r in enumerate(rows) if j != i]
+        term = pivot * _cofactor_det(minor)
+        out = out + (term if i % 2 == 0 else -term)
+    return out
+
+
+def _cofactor_discriminant(P):
+    """Reference discriminant: the Sylvester determinant of P and dP/dy,
+    expanded by cofactors (exponential cost, small inputs only)."""
+    Q = P.dy()
+    m, n = P.degree_y, Q.degree_y
+    size = m + n
+    zero = RationalPoly.zero()
+    pc = list(reversed(P.coeffs))
+    qc = list(reversed(Q.coeffs))
+    rows = [[zero] * i + pc + [zero] * (size - m - 1 - i) for i in range(n)]
+    rows += [[zero] * i + qc + [zero] * (size - n - 1 - i) for i in range(m)]
+    return _cofactor_det(rows)
+
+
+_gaussian_rationals = st.builds(
+    GaussianRational,
+    st.fractions(min_value=-3, max_value=3, max_denominator=6),
+    st.one_of(st.just(0), st.fractions(min_value=-3, max_value=3, max_denominator=6)),
+)
+_t_polys = st.lists(_gaussian_rationals, max_size=3).map(RationalPoly)
+
+
+@st.composite
+def _bivariates(draw):
+    degree = draw(st.integers(min_value=2, max_value=5))
+    lower = draw(st.lists(_t_polys, min_size=degree, max_size=degree))
+    if draw(st.booleans()):
+        top = RationalPoly.one()
+    else:
+        top = draw(_t_polys.filter(lambda p: not p.is_zero))
+    return BivariatePolynomial(lower + [top])
 
 
 def test_scalar_field_axioms():
@@ -93,6 +147,73 @@ def test_bivariate_discriminant_matches_quadratic_formula():
         # resultant(P, P_y) for monic quadratics is b^2 - 4c up to sign
         expected = b * b - c.scale(4)
         assert disc == expected or disc == -expected
+
+
+@pytest.mark.parametrize("name", data.charpoly_names())
+def test_discriminant_matches_cofactor_oracle_on_bundled_charpolys(name):
+    P = data.charpoly(name)
+    assert P.discriminant() == _cofactor_discriminant(P)
+
+
+@settings(max_examples=25, deadline=None)
+@given(_bivariates())
+def test_discriminant_matches_cofactor_oracle(P):
+    assert P.discriminant() == _cofactor_discriminant(P)
+
+
+def test_discriminant_through_a_row_swap():
+    # y^3 - t: after the two P rows, the first row of dP/dy = 3 y^2 reduces
+    # to zero in the third column, so Bareiss must swap in the next row
+    P = BivariatePolynomial([RationalPoly([0, -1]), RationalPoly.zero(),
+                             RationalPoly.zero(), RationalPoly.one()])
+    # resultant(y^3 + p y + q, 3 y^2 + p) = 4 p^3 + 27 q^2, sign included
+    assert P.discriminant() == RationalPoly([0, 0, 27])
+    assert P.discriminant() == _cofactor_discriminant(P)
+
+
+def test_discriminant_of_a_squared_factor_is_zero():
+    t = RationalPoly.variable()
+    # (y - t)^2 (y + 1 + i t) with one non-real coefficient
+    a = RationalPoly([1, GaussianRational(0, 1)])
+    P = BivariatePolynomial([t * t * a, t * t - (t * a).scale(2), a - t.scale(2),
+                             RationalPoly.one()])
+    assert P.discriminant().is_zero
+    assert _cofactor_discriminant(P).is_zero
+
+
+def test_bareiss_kernel_row_swap_sign_and_exact_division():
+    one, two = [(1, 0)], [(2, 0)]
+    # [[0, 1], [1, 0]] needs a swap and has determinant -1
+    assert _bareiss_det([[[], one], [one, []]]) == [(-1, 0)]
+    # a column with no nonzero pivot left: the determinant is zero
+    assert _bareiss_det([[[], one], [[], two]]) == []
+    # Gaussian division that is exact: 2 / (1 + i) = 1 - i
+    assert _gi_exact_div(two, [(1, 1)]) == [(1, -1)]
+    # (t^2 - 1) / (t + 1) = t - 1
+    assert _gi_exact_div([(-1, 0), (0, 0), (1, 0)], [(1, 0), (1, 0)]) == [(-1, 0), (1, 0)]
+    for num, den in [(one, two), (one, [(1, 1)]), ([(1, 0), (1, 0)], [(0, 0), (1, 0)]),
+                     (one, [(0, 0), (1, 0)])]:
+        with pytest.raises(ArithmeticError):
+            _gi_exact_div(num, den)
+
+
+@settings(max_examples=15, deadline=None)
+@given(_bivariates())
+def test_discriminant_matches_sympy_resultant(P):
+    sympy = pytest.importorskip("sympy")
+    t, y = sympy.symbols("t y")
+    expr = sum(
+        (sympy.Rational(c.re.numerator, c.re.denominator)
+         + sympy.I * sympy.Rational(c.im.numerator, c.im.denominator)) * t**j * y**k
+        for k, poly in enumerate(P.coeffs) for j, c in enumerate(poly.coeffs)
+    )
+    res = sympy.Poly(sympy.expand(sympy.resultant(expr, sympy.diff(expr, y), y)), t)
+    expected = [] if res.is_zero else res.all_coeffs()[::-1]
+    got = P.discriminant()
+    assert len(got.coeffs) == len(expected)
+    for c, e in zip(got.coeffs, expected):
+        assert sympy.Rational(c.re.numerator, c.re.denominator) == sympy.re(e)
+        assert sympy.Rational(c.im.numerator, c.im.denominator) == sympy.im(e)
 
 
 def test_bivariate_guards():

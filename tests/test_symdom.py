@@ -218,6 +218,18 @@ def test_puiseux_deeper_recursion():
     assert abs(rep.leading_coefficient - 1.0) < 1e-9
 
 
+def test_puiseux_deeper_recursion_through_negative_coefficient():
+    # (y - 5/8 + t/4)^2 - t^3/16: the double edge root at the first level is
+    # -1/4, and the exact substitution must keep that sign to reach the
+    # t^{3/2} split at the second level
+    P = biv(["25/64", "-5/16", "1/16", "-1/16"], ["-5/4", "1/2"], [1])
+    rep = newton_puiseux_index(P)
+    assert rep.K == 2
+    assert rep.leading_exponent == 1
+    assert abs(rep.leading_coefficient + 0.25) < 1e-9
+    assert monodromy_branch_index(P, 0.01) == 2
+
+
 def test_puiseux_identical_branches_report_common_index():
     rep = newton_puiseux_index(biv([0, 0, 1], [], [0, -2], [], [1]))  # (y^2 - t)^2
     assert rep.K == 2
