@@ -28,7 +28,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 __all__ = [
     "OutsideBall",
@@ -181,13 +180,28 @@ def apply_isometry(m, p):
     return m(p)
 
 
+def _expm(a):
+    """Matrix exponential by scaling and squaring: a is halved until its
+    1-norm is below 1/2, where the degree-18 Taylor sum leaves a remainder
+    under 1e-22, and the sum is then squared back up."""
+    squarings = max(0, math.frexp(np.linalg.norm(a, 1))[1] + 1)
+    a = a / 2.0 ** squarings
+    term = result = np.eye(len(a), dtype=a.dtype)
+    for k in range(1, 19):
+        term = term @ a / k
+        result = result + term
+    for _ in range(squarings):
+        result = result @ result
+    return result
+
+
 def random_isometry(rng, scale=0.8):
     """Random form-preserving matrix, built by exponentiating a form-skew
     generator A = J S with S anti-Hermitian."""
     h = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
     hermitian = (h + h.conj().T) / 2
     generator = _J @ (1j * scale * hermitian)
-    return BallIsometry(expm(generator))
+    return BallIsometry(_expm(generator))
 
 
 @dataclass(frozen=True)

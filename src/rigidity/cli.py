@@ -34,7 +34,7 @@ import math
 import sys
 
 from . import chplane, flatsurf, symdom
-from .exactpoly import BivariatePolynomial, GaussianRational, RationalPoly
+from .exactpoly import BivariatePolynomial
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -113,35 +113,19 @@ def cmd_horocycle(args):
     return EXIT_OK
 
 
-def _load_charpoly(path):
-    with open(path, encoding="utf-8") as fh:
-        data = json.load(fh)
-    return BivariatePolynomial([
-        RationalPoly([GaussianRational(str(re), str(im)) for re, im in row])
-        for row in data
-    ])
-
-
-def _monodromy_radius(P, epsilon):
-    """Deterministic tracking radius clear of every nonzero branch point."""
-    radius = min(0.01, epsilon / 4.0)
-    bad = symdom._nonzero_discriminant_roots(P)
-    if len(bad):
-        radius = min(radius, 0.5 * min(abs(b) for b in bad))
-    return radius
-
-
 def cmd_smoothness(args):
+    with open(args.path, encoding="utf-8") as fh:
+        data = json.load(fh)
     if args.charpoly:
-        P = _load_charpoly(args.path)
+        P = BivariatePolynomial.from_json(data)
         report = symdom.smoothness_report_from_charpoly(P, args.epsilon)
     else:
-        with open(args.path, encoding="utf-8") as fh:
-            path = symdom.PolynomialMatrixPath.from_json(json.load(fh))
+        path = symdom.PolynomialMatrixPath.from_json(data)
         P = symdom.charpoly_path(path)
         report = symdom.smoothness_report(path, args.epsilon)
     polygon_k = symdom.newton_puiseux_index(P).K
-    monodromy_k = symdom.monodromy_branch_index(P, _monodromy_radius(P, args.epsilon))
+    radius = symdom.monodromy_radius(P, args.epsilon)
+    monodromy_k = symdom.monodromy_branch_index(P, radius)
     agreement = polygon_k == monodromy_k
     payload = {
         "K": report.K,
@@ -194,7 +178,6 @@ def build_parser():
     p_smo.add_argument("--charpoly", action="store_true",
                        help="interpret the file as a bivariate polynomial instead")
     p_smo.add_argument("--epsilon", type=float, default=0.1)
-    p_smo.add_argument("--tolerance", type=float, default=1e-8)
     p_smo.add_argument("--out", default=None, help="optional JSON output path")
     p_smo.set_defaults(func=cmd_smoothness)
 

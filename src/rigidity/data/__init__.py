@@ -38,12 +38,9 @@ def matrix_path(name):
 
 def charpoly(name):
     """A bundled bivariate polynomial by name."""
-    from ..exactpoly import BivariatePolynomial, GaussianRational, RationalPoly
+    from ..exactpoly import BivariatePolynomial
 
-    return BivariatePolynomial([
-        RationalPoly([GaussianRational(str(re), str(im)) for re, im in row])
-        for row in _load("charpolys", name)
-    ])
+    return BivariatePolynomial.from_json(_load("charpolys", name))
 
 
 def charpoly_names():

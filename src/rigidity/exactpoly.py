@@ -161,6 +161,12 @@ class RationalPoly:
     def variable(cls):
         return cls((_ZERO, _ONE))
 
+    @classmethod
+    def from_json(cls, pairs):
+        """Ascending [re, im] coefficient pairs, each an exact decimal or
+        fraction string (or a number)."""
+        return cls([GaussianRational(str(re), str(im)) for re, im in pairs])
+
     @property
     def is_zero(self):
         return not self.coeffs
@@ -444,9 +450,10 @@ class BivariatePolynomial:
         self.coeffs = tuple(cs)
 
     @classmethod
-    def from_lists(cls, lists):
-        """Build from nested lists: one list of t-coefficients per y-power."""
-        return cls([RationalPoly(row) for row in lists])
+    def from_json(cls, rows):
+        """One list of [re, im] t-coefficient pairs per power of y, ascending
+        in both variables (see RationalPoly.from_json)."""
+        return cls([RationalPoly.from_json(row) for row in rows])
 
     @property
     def degree_y(self):
@@ -470,10 +477,6 @@ class BivariatePolynomial:
     def eval_t(self, t):
         """Ascending complex coefficients of y -> P(t, y) at a numeric t."""
         return [c.eval_complex(t) for c in self.coeffs]
-
-    def float_coeff_polys(self):
-        """Per-y-power ascending complex t-coefficients, for fast evaluation."""
-        return [c.complex_coeffs() for c in self.coeffs]
 
     def shift_y(self, a):
         """P(t, a + y) by Horner expansion in y."""

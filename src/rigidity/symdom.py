@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .exactpoly import (
     BivariatePolynomial,
@@ -50,6 +49,7 @@ __all__ = [
     "kobayashi_distance_origin",
     "charpoly_path",
     "newton_puiseux_index",
+    "monodromy_radius",
     "monodromy_branch_index",
     "smoothness_report",
     "smoothness_report_from_charpoly",
@@ -192,13 +192,7 @@ class PolynomialMatrixPath:
         """Nested lists: rows of entries, each entry a list of [re, im]
         coefficient pairs in ascending powers of t, as exact decimal or
         fraction strings."""
-        entries = []
-        for row in data:
-            entries.append([
-                RationalPoly([GaussianRational(str(re), str(im)) for re, im in entry])
-                for entry in row
-            ])
-        return cls(entries)
+        return cls([[RationalPoly.from_json(entry) for entry in row] for row in data])
 
     def evaluate(self, t):
         return np.array(
@@ -243,11 +237,10 @@ def charpoly_path(path):
     """
     gram = _gram_entries(path)
     m = len(gram)
-    traces = []
-    power = gram
-    for _ in range(m):
-        traces.append(sum((power[i][i] for i in range(m)), RationalPoly.zero()))
-        power = _poly_mat_mul(power, gram)
+    powers = [gram]
+    for _ in range(m - 1):
+        powers.append(_poly_mat_mul(powers[-1], gram))
+    traces = [sum((p[i][i] for i in range(m)), RationalPoly.zero()) for p in powers]
     # elementary symmetric functions from power sums
     elem = [RationalPoly.one()]
     for k in range(1, m + 1):
@@ -409,7 +402,7 @@ class _TermKey:
         return _term_gt(other.term, self.term)
 
 
-def newton_puiseux_index(P, branch="top"):
+def newton_puiseux_index(P):
     """Branching index and leading term of the top eigenvalue branch at 0+.
 
     Runs the Newton-polygon iteration on P(t, lambda_0 + nu) where lambda_0
@@ -422,8 +415,6 @@ def newton_puiseux_index(P, branch="top"):
     nonconstant term of the branch expansion.  Branches that agree as exact
     expansions terminate through the zero branch and report their common K.
     """
-    if branch != "top":
-        raise ValueError("only the top branch selection is implemented")
     zero_at_zero = P.at_t_zero()
     if zero_at_zero.is_zero:
         raise DegenerateAtZero("P(0, y) vanishes identically")
@@ -503,9 +494,10 @@ def _exact_branch_coefficient(z_exact, q, c_float):
     return abs(root) if c_float >= 0 else -abs(root)
 
 
-def _nonzero_discriminant_roots(P):
-    """Numeric nonzero roots of the discriminant, with the exact t**m factor
-    stripped first so that spurious near-zero clusters cannot appear."""
+def _nearest_branch_point(P):
+    """Smallest modulus of a numeric nonzero root of the discriminant (inf if
+    there is none), with the exact t**m factor stripped first so that
+    spurious near-zero clusters cannot appear."""
     disc = P.discriminant()
     if disc.is_zero:
         raise BranchPointOnCircle(
@@ -513,18 +505,38 @@ def _nonzero_discriminant_roots(P):
         )
     deflated = disc.shift_down(disc.valuation)
     if deflated.degree == 0:
-        return np.array([], dtype=complex)
-    return np.roots(list(reversed(deflated.complex_coeffs())))
+        return math.inf
+    return min(abs(b) for b in np.roots(list(reversed(deflated.complex_coeffs()))))
+
+
+def monodromy_radius(P, epsilon):
+    """Deterministic tracking radius clear of every nonzero branch point:
+    min(0.01, epsilon / 4, half the modulus of the nearest one)."""
+    return min(0.01, epsilon / 4.0, 0.5 * _nearest_branch_point(P))
+
+
+def _nearest_match(roots, fresh, where):
+    """Index of the nearest fresh root for each root; raises
+    BranchPointOnCircle unless that map is a bijection."""
+    match = np.argmin(np.abs(roots[:, None] - fresh[None, :]), axis=1)
+    if len(set(match.tolist())) < len(match):
+        raise BranchPointOnCircle(f"two roots share their nearest root {where}")
+    return match
 
 
 def monodromy_branch_index(P, radius, steps=512, collision_tol=1e-8):
     """Cycle length of the top branch under analytic continuation around 0.
 
-    The roots of P(t, .) are tracked along the circle |t| = radius with a
-    fixed-step predictor-corrector (fresh roots at each step, matched to the
-    previous step by optimal assignment).  The branch starting at the root
-    with the largest real part at t = radius is followed; the cycle length
-    of the final root permutation through that branch is returned.
+    The roots of P(t, .) are tracked along the circle |t| = radius in fixed
+    steps: at each step fresh roots are computed and each tracked root moves
+    to its nearest fresh root.  If two roots pick the same one, the step is
+    too coarse to follow the branches and BranchPointOnCircle is raised.  A
+    bijective nearest match is an optimal assignment: every permutation
+    costs at least the sum of the row minima of the distance matrix, and
+    this one attains it.  When each row minimum is unique, it is the only
+    optimal assignment.  The branch starting at the root with the largest
+    real part at t = radius is followed; the cycle length of the final root
+    permutation through that branch is returned.
 
     The radius must not enclose or touch any branch point other than 0,
     which is checked through the roots of the exact discriminant.
@@ -533,14 +545,12 @@ def monodromy_branch_index(P, radius, steps=512, collision_tol=1e-8):
         raise ValueError("radius must be positive")
     if P.degree_y < 1:
         raise ValueError("P must depend on the eigenvalue variable")
-    bad = _nonzero_discriminant_roots(P)
-    if len(bad):
-        closest = min(abs(b) for b in bad)
-        if closest <= radius * (1.0 + 1e-9):
-            raise BranchPointOnCircle(
-                f"branch point at |t| = {closest:.6g} lies within the circle "
-                f"of radius {radius}"
-            )
+    closest = _nearest_branch_point(P)
+    if closest <= radius * (1.0 + 1e-9):
+        raise BranchPointOnCircle(
+            f"branch point at |t| = {closest:.6g} lies within the circle "
+            f"of radius {radius}"
+        )
 
     def roots_at(t):
         coeffs = list(reversed(P.eval_t(t)))
@@ -555,10 +565,7 @@ def monodromy_branch_index(P, radius, steps=512, collision_tol=1e-8):
     for j in range(1, steps + 1):
         t = radius * np.exp(2j * np.pi * j / steps)
         fresh = roots_at(t)
-        dist = np.abs(current[:, None] - fresh[None, :])
-        rows, cols = linear_sum_assignment(dist)
-        new = np.empty_like(current)
-        new[rows] = fresh[cols]
+        new = fresh[_nearest_match(current, fresh, f"at step {j}")]
         # collision guard: the matching is meaningless if roots merge
         for a in range(m):
             for b in range(a + 1, m):
@@ -568,10 +575,7 @@ def monodromy_branch_index(P, radius, steps=512, collision_tol=1e-8):
                     )
         current = new
     # match the final configuration back to the start to read the permutation
-    dist = np.abs(current[:, None] - start[None, :])
-    rows, cols = linear_sum_assignment(dist)
-    perm = np.empty(m, dtype=int)
-    perm[rows] = cols
+    perm = _nearest_match(current, start, "when closing the loop")
     # cycle length through the selected branch
     length = 1
     k = perm[selected]
@@ -621,6 +625,20 @@ def _top_eigenvalue_numeric(P, t):
     return max(real)
 
 
+def _sample_and_fit(P, epsilon, samples, fit_degree, distance_at):
+    """Report for the distances distance_at(t) sampled on [0, epsilon], with
+    K taken from the exact characteristic polynomial P."""
+    K, _ = _distance_smoothness_index(P)
+    ts = np.linspace(0.0, epsilon, samples)
+    ds = np.array([distance_at(float(t)) for t in ts])
+    return SmoothnessReport(
+        K=K,
+        fit_residual=_fit_residual(ts, ds, K, fit_degree),
+        naive_residual=_fit_residual(ts, ds, 1, fit_degree),
+        epsilon=float(epsilon),
+    )
+
+
 def smoothness_report_from_charpoly(P, epsilon, samples=64, fit_degree=8):
     """Smoothness certificate computed from a characteristic polynomial.
 
@@ -631,23 +649,14 @@ def smoothness_report_from_charpoly(P, epsilon, samples=64, fit_degree=8):
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
-    K, _ = _distance_smoothness_index(P)
-    ts = np.linspace(0.0, epsilon, samples)
-    ds = []
-    for t in ts:
-        lam = _top_eigenvalue_numeric(P, float(t))
-        lam = max(lam, 0.0)
-        top = math.sqrt(lam)
+
+    def distance_at(t):
+        top = math.sqrt(max(_top_eigenvalue_numeric(P, t), 0.0))
         if top > 1.0 - BALL_MARGIN:
             raise BoundaryHit(f"norm {top} at t = {t} is not inside the ball")
-        ds.append(math.atanh(top))
-    ds = np.array(ds)
-    return SmoothnessReport(
-        K=K,
-        fit_residual=_fit_residual(ts, ds, K, fit_degree),
-        naive_residual=_fit_residual(ts, ds, 1, fit_degree),
-        epsilon=float(epsilon),
-    )
+        return math.atanh(top)
+
+    return _sample_and_fit(P, epsilon, samples, fit_degree, distance_at)
 
 
 def smoothness_report(path, epsilon, samples=64, fit_degree=8):
@@ -659,19 +668,11 @@ def smoothness_report(path, epsilon, samples=64, fit_degree=8):
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
-    P = charpoly_path(path)
-    K, _ = _distance_smoothness_index(P)
-    ts = np.linspace(0.0, epsilon, samples)
-    ds = []
-    for t in ts:
-        norm = operator_norm(path.evaluate(float(t)))
+
+    def distance_at(t):
+        norm = operator_norm(path.evaluate(t))
         if norm > 1.0 - BALL_MARGIN:
             raise BoundaryHit(f"operator norm {norm} at t = {t} leaves the ball")
-        ds.append(math.atanh(norm))
-    ds = np.array(ds)
-    return SmoothnessReport(
-        K=K,
-        fit_residual=_fit_residual(ts, ds, K, fit_degree),
-        naive_residual=_fit_residual(ts, ds, 1, fit_degree),
-        epsilon=float(epsilon),
-    )
+        return math.atanh(norm)
+
+    return _sample_and_fit(charpoly_path(path), epsilon, samples, fit_degree, distance_at)

@@ -5,6 +5,7 @@ import random
 import numpy as np
 import pytest
 
+from rigidity import chplane
 from rigidity.chplane import (
     BallIsometry,
     BallPoint,
@@ -124,6 +125,18 @@ def test_form_violation_rejected():
         BallIsometry(2 * np.eye(3))
     with pytest.raises(FormViolation):
         BallIsometry(np.eye(4))
+
+
+def test_expm_matches_scipy():
+    linalg = pytest.importorskip("scipy.linalg")
+    rng = np.random.default_rng(12)
+    for norm in (0.0, 1e-8, 0.3, 1.0, 2.5, 7.0, 40.0):
+        for _ in range(20):
+            a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+            a *= norm / np.linalg.norm(a, 1)
+            expected = linalg.expm(a)
+            err = np.max(np.abs(chplane._expm(a) - expected))
+            assert err <= 1e-13 * np.max(np.abs(expected))
 
 
 def test_random_isometries_preserve_distance():

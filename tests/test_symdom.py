@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from rigidity import data
+from rigidity import data, symdom
 from rigidity.exactpoly import BivariatePolynomial, GaussianRational, RationalPoly
 from rigidity.symdom import (
     BoundaryHit,
@@ -20,6 +20,7 @@ from rigidity.symdom import (
     charpoly_path,
     kobayashi_distance_origin,
     monodromy_branch_index,
+    monodromy_radius,
     newton_puiseux_index,
     operator_norm,
     smoothness_report,
@@ -178,6 +179,11 @@ def test_path_json_round_trip():
     assert charpoly_path(path) == ANALYTIC
 
 
+def test_charpoly_json_reader():
+    raw = [[["0", "0"], ["-1", "0"]], [], [["1", "0"]]]
+    assert BivariatePolynomial.from_json(raw) == SQRT_BRANCH
+
+
 # ---------------------------------------------------------------------------
 # newton polygon branch analysis
 # ---------------------------------------------------------------------------
@@ -272,6 +278,64 @@ def test_monodromy_rejects_enclosed_branch_point():
 def test_monodromy_rejects_repeated_factor():
     with pytest.raises(BranchPointOnCircle):
         monodromy_branch_index(biv([0, 0, 1], [0, -2], [1]), 0.01)  # (y - t)^2
+
+
+def test_monodromy_rejects_shared_nearest_root():
+    # (y - 100 t)(y - 1) at radius 0.009, inside its branch point t = 1/100:
+    # in three steps the root 100 t swings from 0.9 to 0.9 e^{2 pi i / 3},
+    # so both roots at step 1 are nearest to the fixed root 1
+    P = biv([0, 100], [-1, -100], [1])
+    assert monodromy_branch_index(P, 0.009) == 1
+    with pytest.raises(BranchPointOnCircle, match="nearest root at step 1"):
+        monodromy_branch_index(P, 0.009, steps=3)
+
+
+def test_nearest_match_is_the_optimal_assignment():
+    optimize = pytest.importorskip("scipy.optimize")
+    rng = np.random.default_rng(3)
+    for m in range(2, 7):
+        for _ in range(200):
+            roots = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+            fresh = rng.permutation(roots + 0.02 * (rng.standard_normal(m)
+                                                    + 1j * rng.standard_normal(m)))
+            dist = np.abs(roots[:, None] - fresh[None, :])
+            try:
+                match = symdom._nearest_match(roots, fresh, "")
+            except BranchPointOnCircle:
+                assert len(set(dist.argmin(axis=1))) < m
+                continue
+            rows, cols = optimize.linear_sum_assignment(dist)
+            assert list(rows) == list(range(m))
+            assert list(match) == list(cols)
+
+
+def test_monodromy_matches_equal_the_optimal_assignment(monkeypatch):
+    # every matching made while tracking the bundled and test polynomials
+    optimize = pytest.importorskip("scipy.optimize")
+    original = symdom._nearest_match
+    seen = []
+
+    def checked(roots, fresh, where):
+        match = original(roots, fresh, where)
+        dist = np.abs(roots[:, None] - fresh[None, :])
+        assert list(match) == list(optimize.linear_sum_assignment(dist)[1])
+        seen.append(where)
+        return match
+
+    monkeypatch.setattr(symdom, "_nearest_match", checked)
+    polys = [data.charpoly(name) for name in data.charpoly_names()]
+    polys += [SQRT_BRANCH, SHIFTED, ANALYTIC, biv([2], [-3], [1]),
+              biv([0, 0, 0, 1], [], [], [1])]                  # y^3 + t^3
+    for P in polys:
+        monodromy_branch_index(P, 0.005)
+    assert len(seen) == len(polys) * 513
+
+
+def test_monodromy_radius():
+    assert monodromy_radius(SQRT_BRANCH, 0.1) == 0.01
+    assert monodromy_radius(SQRT_BRANCH, 0.02) == 0.005
+    # y^2 - (t - 1/200): the branch point at 1/200 halves the radius
+    assert abs(monodromy_radius(biv(["1/200", -1], [], [1]), 0.1) - 0.0025) < 1e-15
 
 
 def test_oracle_agreement_on_bundled_polynomials():
