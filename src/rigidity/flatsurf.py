@@ -25,7 +25,6 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 
 TOLERANCE = 1e-9
 DEFAULT_LENGTH_BOUND = 10.0
@@ -191,24 +190,6 @@ class Origami:
         """Cone angle of each vertex class, in units of 2*pi."""
         return tuple(len(c) for c in self.cone_cycles)
 
-    @cached_property
-    def _corner_vertex(self):
-        """Vertex id of each corner type, indexed [square][corner].
-
-        Corners are reduced to bottom-left representatives: the bottom-right
-        corner of square i is the bottom-left corner of h(i), the top-left is
-        the bottom-left of v(i), and the top-right the bottom-left of v(h(i)).
-        """
-        table = []
-        for i in range(self.n):
-            table.append({
-                "bl": self._vertex_of_square[i],
-                "br": self._vertex_of_square[self._h[i]],
-                "tl": self._vertex_of_square[self._v[i]],
-                "tr": self._vertex_of_square[self._v[self._h[i]]],
-            })
-        return table
-
     @classmethod
     def from_json(cls, payload):
         data = json.loads(payload) if isinstance(payload, str) else payload
@@ -268,7 +249,10 @@ class SaddleConnection:
 
     @property
     def length(self):
-        return abs(self.holonomy)
+        """Euclidean length; the correctly rounded square root of the exact
+        norm p**2 + q**2 for the integer holonomies of an origami."""
+        x, y = self.holonomy.real, self.holonomy.imag
+        return math.sqrt(x * x + y * y)
 
     def reversed(self):
         return SaddleConnection(self.end, self.start, -self.holonomy)
@@ -293,32 +277,33 @@ def _primitive_upper_directions(max_length):
     return out
 
 
-def _develop_segment(origami, square, p, q):
-    """Develop the straight germ with primitive displacement (p, q), q > 0,
-    entering the given square (0-indexed); returns (start_corner, end_corner,
-    final_square).
+def _return_permutation(origami, p, q):
+    """First return of the straight flow in the upper direction (p, q) to the
+    bottom edges, as a 0-indexed list: the flow from just right of the
+    bottom-left corner of square s is, after displacement (p, q), just right
+    of the bottom-left corner of the returned square.
 
-    Crossing a vertical grid line applies h (or its inverse when moving
-    left), crossing a horizontal line applies v.  For a primitive vector no
-    two crossings coincide, and the open segment meets no grid vertex.
+    The flow crosses each vertical grid line (applying h, or its inverse when
+    moving left) and each horizontal one (applying v) in the order of its
+    crossing times.  The v letter j (time j/q, j = 1..q) is merged with the
+    side letter k in integer arithmetic: moving right, line k is crossed at
+    time just before k/|p| and precedes v letter j iff k*q <= j*|p|; moving
+    left, line k is crossed just after (k - 1)/|p|, so the first side letter
+    comes at once.  For a primitive vector only the last letters tie, at
+    time 1, where the vertical line is crossed first.  The word of |p| + q
+    letters is applied to all squares together, one permutation per letter.
     """
-    events = [(Fraction(j, q), "v") for j in range(1, q)]
-    if p > 0:
-        events += [(Fraction(j, p), "h") for j in range(1, p)]
-    elif p < 0:
-        events += [(Fraction(j, -p), "h-") for j in range(1, -p)]
-    events.sort()
-    u = square
-    for _, kind in events:
-        if kind == "v":
-            u = origami._v[u]
-        elif kind == "h":
-            u = origami._h[u]
-        else:
-            u = origami._h_inv[u]
-    start_corner = "bl" if p >= 0 else "br"
-    end_corner = "tr" if p > 0 else "tl"
-    return start_corner, end_corner, u
+    if q == 0:
+        return origami._h
+    side = origami._h if p > 0 else origami._h_inv
+    a, lag = abs(p), int(p < 0)
+    u, k = list(range(origami.n)), 1
+    for j in range(1, q + 1):
+        while k <= a and (k - lag) * q <= j * a:
+            u = [side[x] for x in u]
+            k += 1
+        u = [origami._v[x] for x in u]
+    return u
 
 
 def saddle_connections(origami, max_length=DEFAULT_LENGTH_BOUND):
@@ -327,30 +312,31 @@ def saddle_connections(origami, max_length=DEFAULT_LENGTH_BOUND):
     Enumeration is exact: each oriented saddle connection with direction in
     the upper half plane arises from exactly one (square, direction) germ,
     since every grid vertex is a marked point (so holonomies are primitive
-    integer vectors).  The opposite orientations are mirrored in afterwards.
-    Output is sorted by (length, angle, endpoints) and hence deterministic.
+    integer vectors).  The germ of direction (p, q) leaving the bottom-left
+    corner of square s (the bottom-right corner of h^-1(s) when p < 0) ends
+    at the bottom-left corner of R(s), R being the first-return permutation
+    of the flow in that direction; so each direction costs one integer
+    crossing word of |p| + q letters applied to all n squares, O(n (|p| + q))
+    list steps, and a census of bound L costs O(n L^3).  The opposite
+    orientations are mirrored in afterwards.
+
+    Output is sorted by (length, angle, endpoints) with an exact key per
+    direction: (p**2 + q**2, half plane, -p) for the upper vector (p, q) and
+    its opposite alike, since the angle of a vector of given length grows as
+    its real part falls in the upper half plane and rises in the lower one;
+    within a direction, by the endpoint pairs.
     """
-    out = []
+    vertex = origami._vertex_of_square
+    blocks = []
     for p, q in _primitive_upper_directions(max_length):
-        for s in range(origami.n):
-            if q == 0:
-                # horizontal unit segment along the bottom edge of s
-                start = origami._corner_vertex[s]["bl"]
-                end = origami._corner_vertex[s]["br"]
-            else:
-                c0, c1, u = _develop_segment(origami, s, p, q)
-                start = origami._corner_vertex[s][c0]
-                end = origami._corner_vertex[u][c1]
-            sc = SaddleConnection(start, end, complex(p, q))
-            out.append(sc)
-            out.append(sc.reversed())
-
-    def sort_key(sc):
-        ang = math.atan2(sc.holonomy.imag, sc.holonomy.real) % (2 * math.pi)
-        return (abs(sc.holonomy), ang, sc.start, sc.end)
-
-    out.sort(key=sort_key)
-    return out
+        ret = _return_permutation(origami, p, q)
+        pairs = sorted((vertex[s], vertex[r]) for s, r in enumerate(ret))
+        hol = complex(p, q)
+        norm2 = p * p + q * q
+        blocks.append(((norm2, 0, -p), hol, pairs))
+        blocks.append(((norm2, 1, -p), -hol, sorted((e, s) for s, e in pairs)))
+    blocks.sort(key=lambda block: block[0])
+    return [SaddleConnection(s, e, hol) for _, hol, pairs in blocks for s, e in pairs]
 
 
 @dataclass(frozen=True)
@@ -381,26 +367,6 @@ class CylinderDecomposition:
         return sum(c.area for c in self.cylinders)
 
 
-def _return_word_exponents(p, q):
-    """Horizontal crossing counts between consecutive bottom-edge returns.
-
-    The straight flow in direction (p, q) with q > 0 crosses a bottom edge
-    once per unit of height gained; between two returns it crosses e_j
-    vertical grid lines (signed by the sign of p).  The counts depend only on
-    the phase x mod 1, which advances by p/q per return, so one band midpoint
-    determines them for a full period of q returns.
-    """
-    x = Fraction(1, 2 * q)
-    step = Fraction(p, q)
-    exponents = []
-    for _ in range(q):
-        nxt = x + step
-        exponents.append(math.floor(nxt) - math.floor(x))
-        x = nxt - math.floor(nxt)
-    assert sum(exponents) == p
-    return exponents
-
-
 def cylinder_decomposition(origami, direction):
     """Cylinders of the straight-line flow in a primitive rational direction.
 
@@ -418,21 +384,9 @@ def cylinder_decomposition(origami, direction):
     # compute with the representative in the upper half plane
     p, q = (p_in, q_in) if (q_in > 0 or (q_in == 0 and p_in > 0)) else (-p_in, -q_in)
 
-    if q == 0:
-        word = origami._h
-    else:
-        exponents = _return_word_exponents(p, q)
-        word = list(range(origami.n))
-        for e in exponents:
-            perm = origami._h if e >= 0 else origami._h_inv
-            for _ in range(abs(e)):
-                word = [perm[u] for u in word]
-            word = [origami._v[u] for u in word]
-        word = tuple(word)
-
     norm = math.hypot(p, q)
     cylinders = []
-    for cyc in _cycles(word):
+    for cyc in _cycles(_return_permutation(origami, p, q)):
         m = len(cyc)
         cylinders.append(
             Cylinder(

@@ -238,9 +238,13 @@ def charpoly_path(path):
     gram = _gram_entries(path)
     m = len(gram)
     powers = [gram]
-    for _ in range(m - 1):
+    for _ in range(m - 2):
         powers.append(_poly_mat_mul(powers[-1], gram))
     traces = [sum((p[i][i] for i in range(m)), RationalPoly.zero()) for p in powers]
+    if m > 1:
+        # tr G^m = sum_ij (G^(m-1))_ij G_ji: m^2 entry products, not m^3
+        traces.append(sum((powers[-1][i][j] * gram[j][i]
+                           for i in range(m) for j in range(m)), RationalPoly.zero()))
     # elementary symmetric functions from power sums
     elem = [RationalPoly.one()]
     for k in range(1, m + 1):
@@ -552,9 +556,17 @@ def monodromy_branch_index(P, radius, steps=512, collision_tol=1e-8):
             f"of radius {radius}"
         )
 
+    # each coefficient converted to complex once; the Horner steps of eval_t
+    complex_coeffs = [c.complex_coeffs() for c in reversed(P.coeffs)]
+
     def roots_at(t):
-        coeffs = list(reversed(P.eval_t(t)))
-        return np.roots(coeffs)
+        values = []
+        for coeffs in complex_coeffs:
+            out = 0j
+            for c in reversed(coeffs):
+                out = out * t + c
+            values.append(out)
+        return np.roots(values)
 
     start = roots_at(radius)
     m = len(start)

@@ -14,6 +14,9 @@ from rigidity.flatsurf import (
     NonTransitive,
     NotPrimitive,
     Origami,
+    SaddleConnection,
+    _primitive_upper_directions,
+    _return_permutation,
     area,
     build_origami,
     cylinder_decomposition,
@@ -35,14 +38,22 @@ L3 = build_origami(3, [2, 1, 3], [3, 2, 1])
 # independent oracles
 # ---------------------------------------------------------------------------
 
-def develop_oracle_counts(origami, max_length):
+def develop_oracle_census(origami, max_length):
     """Brute-force saddle connection census over the integer grid.
 
     Walks every germ (square, integer vector) with exact Fraction crossing
     times; a crossing whose position has both coordinates integral is a
     marked point in the interior, which disqualifies the vector.  No
-    primitivity shortcut is used.
+    primitivity shortcut is used.  Counts (start, end, (a, b)) with the
+    endpoints read from the corners of the first and the last square.
     """
+    vertex = origami._vertex_of_square
+    corner = {
+        "bl": lambda u: vertex[u],
+        "br": lambda u: vertex[origami._h[u]],
+        "tl": lambda u: vertex[origami._v[u]],
+        "tr": lambda u: vertex[origami._v[origami._h[u]]],
+    }
     counts = Counter()
     bound = max_length * max_length
     b = 0
@@ -69,6 +80,8 @@ def develop_oracle_counts(origami, max_length):
             if hit:
                 continue
             events.sort()
+            start_corner = "bl" if a >= 0 else "br"
+            end_corner = ("t" if b > 0 else "b") + ("r" if a > 0 else "l")
             for s in range(origami.n):
                 u = s
                 for _, kind in events:
@@ -78,10 +91,92 @@ def develop_oracle_counts(origami, max_length):
                         u = origami._h[u]
                     else:
                         u = origami._h_inv[u]
-                counts[(a, b)] += 1
-                counts[(-a, -b)] += 1
+                start = corner[start_corner](s)
+                end = corner[end_corner](u)
+                counts[(start, end, (a, b))] += 1
+                counts[(end, start, (-a, -b))] += 1
         b += 1
     return counts
+
+
+def develop_oracle_counts(origami, max_length):
+    """Holonomy multiplicities of develop_oracle_census."""
+    counts = Counter()
+    for (_, _, hol), c in develop_oracle_census(origami, max_length).items():
+        counts[hol] += c
+    return counts
+
+
+def census_keys(connections):
+    return Counter(
+        (s.start, s.end, (int(s.holonomy.real), int(s.holonomy.imag)))
+        for s in connections
+    )
+
+
+def fraction_census(origami, max_length):
+    """Reference census: one sorted list of Fraction crossing events per
+    (direction, square) germ, sorted by the float key (abs, atan2).  This was
+    the library's enumeration before the per-direction integer word; the two
+    orders agree while no two equal-length vectors round apart (|v| <= 40)."""
+    vertex = origami._vertex_of_square
+    out = []
+    for p, q in _primitive_upper_directions(max_length):
+        for s in range(origami.n):
+            if q == 0:
+                start, end = vertex[s], vertex[origami._h[s]]
+            else:
+                events = [(Fraction(j, q), "v") for j in range(1, q)]
+                if p > 0:
+                    events += [(Fraction(j, p), "h") for j in range(1, p)]
+                elif p < 0:
+                    events += [(Fraction(j, -p), "h-") for j in range(1, -p)]
+                events.sort()
+                u = s
+                for _, kind in events:
+                    if kind == "v":
+                        u = origami._v[u]
+                    elif kind == "h":
+                        u = origami._h[u]
+                    else:
+                        u = origami._h_inv[u]
+                start = vertex[s] if p >= 0 else vertex[origami._h[s]]
+                end = vertex[origami._v[origami._h[u]]] if p > 0 else vertex[origami._v[u]]
+            sc = SaddleConnection(start, end, complex(p, q))
+            out.append(sc)
+            out.append(sc.reversed())
+
+    def sort_key(sc):
+        ang = math.atan2(sc.holonomy.imag, sc.holonomy.real) % (2 * math.pi)
+        return (abs(sc.holonomy), ang, sc.start, sc.end)
+
+    out.sort(key=sort_key)
+    return out
+
+
+def primitive_count(max_length):
+    """#{v in Z^2 primitive, |v| <= max_length}, counted over the square."""
+    r = math.isqrt(int(max_length * max_length))
+    return sum(
+        1
+        for a in range(-r, r + 1)
+        for b in range(-r, r + 1)
+        if a * a + b * b <= max_length * max_length and math.gcd(a, b) == 1
+    )
+
+
+def return_word_exponents(p, q):
+    """Horizontal crossing counts between consecutive bottom-edge returns of
+    the flow in direction (p, q), q > 0, from the band midpoint phase 1/(2q);
+    the first-return construction the library used before its crossing word."""
+    x = Fraction(1, 2 * q)
+    step = Fraction(p, q)
+    exponents = []
+    for _ in range(q):
+        nxt = x + step
+        exponents.append(math.floor(nxt) - math.floor(x))
+        x = nxt - math.floor(nxt)
+    return exponents
 
 
 def flow_orbit_period(origami, start_square, start_x, p, q):
@@ -242,6 +337,61 @@ def test_enumeration_is_sorted_and_deterministic():
     assert lengths == sorted(lengths)
 
 
+@pytest.mark.parametrize("name", data.origami_names())
+def test_enumeration_endpoints_match_development_oracle(name):
+    o = data.origami(name)
+    assert census_keys(saddle_connections(o, 6.0)) == develop_oracle_census(o, 6.0)
+
+
+def test_enumeration_endpoints_match_development_oracle_random():
+    rnd = random.Random(12)
+    for _ in range(6):
+        o = random_transitive_origami(rnd, 2, 12)
+        assert census_keys(saddle_connections(o, 4.5)) == develop_oracle_census(o, 4.5)
+
+
+@pytest.mark.parametrize("name", data.origami_names())
+def test_census_equals_fraction_reference(name):
+    o = data.origami(name)
+    for L in (1.0, 2.5, 7.0, 20.0):
+        census = saddle_connections(o, L)
+        assert census == fraction_census(o, L)
+        assert len(census) == o.n * primitive_count(L)
+
+
+def test_census_equals_fraction_reference_random():
+    rnd = random.Random(4)
+    for n_min, n_max, L in ((2, 10, 12.0), (10, 30, 9.0), (30, 60, 7.0), (60, 60, 5.0)):
+        o = random_transitive_origami(rnd, n_min, n_max)
+        census = saddle_connections(o, L)
+        assert census == fraction_census(o, L)
+        assert len(census) == o.n * primitive_count(L)
+
+
+def test_census_order_is_exact_beyond_float_lengths():
+    # (52, 17) and (47, -28) both have norm 2993, yet abs() rounds the first
+    # above the second; the census puts them in angle order all the same
+    assert abs(complex(52, 17)) > abs(complex(47, -28))
+    o = data.origami("cylinder_pair")
+    census = saddle_connections(o, 60.0)
+    assert len(census) == o.n * primitive_count(60.0)
+
+    def half(a, b):
+        return 0 if b > 0 or (b == 0 and a > 0) else 1
+
+    hols = [(int(s.holonomy.real), int(s.holonomy.imag)) for s in census]
+    for (a, b), (c, d) in zip(hols, hols[1:]):
+        n1, n2 = a * a + b * b, c * c + d * d
+        assert n1 <= n2
+        if n1 == n2 and (a, b) != (c, d):
+            assert half(a, b) < half(c, d) or (
+                half(a, b) == half(c, d) and a * d - b * c > 0)
+    assert hols.index((52, 17)) < hols.index((47, -28))
+    lengths = [s.length for s in census]
+    assert all(x <= y for x, y in zip(lengths, lengths[1:]))
+    assert all(s.length == math.sqrt(a * a + b * b) for s, (a, b) in zip(census, hols))
+
+
 # ---------------------------------------------------------------------------
 # cylinders
 # ---------------------------------------------------------------------------
@@ -308,6 +458,22 @@ def test_cylinders_against_flow_oracle():
                     x = Fraction(2 * i + 1, 2 * M)
                     observed[flow_orbit_period(o, s, x, p, q)] += 1
             assert observed == predicted
+
+
+def test_return_permutation_matches_exponent_construction():
+    rnd = random.Random(55)
+    for _ in range(8):
+        o = random_transitive_origami(rnd, 2, 30)
+        for p, q in _primitive_upper_directions(8.0):
+            if q == 0:
+                continue
+            word = list(range(o.n))
+            for e in return_word_exponents(p, q):
+                perm = o._h if e >= 0 else o._h_inv
+                for _ in range(abs(e)):
+                    word = [perm[u] for u in word]
+                word = [o._v[u] for u in word]
+            assert _return_permutation(o, p, q) == word, (p, q)
 
 
 # ---------------------------------------------------------------------------

@@ -167,6 +167,41 @@ def test_charpoly_numeric_agreement_with_singular_values():
         assert np.allclose(roots, svals, atol=1e-10)
 
 
+def full_power_charpoly(path):
+    """Newton's identities on the traces of every full power G, ..., G^m of
+    the Gram matrix: the reference for charpoly_path, which pairs the last
+    power's trace off from G^(m-1) and G."""
+    gram = symdom._gram_entries(path)
+    m = len(gram)
+    powers = [gram]
+    for _ in range(m - 1):
+        powers.append(symdom._poly_mat_mul(powers[-1], gram))
+    traces = [sum((p[i][i] for i in range(m)), RationalPoly.zero()) for p in powers]
+    elem = [RationalPoly.one()]
+    for k in range(1, m + 1):
+        acc = RationalPoly.zero()
+        for i in range(1, k + 1):
+            term = elem[k - i] * traces[i - 1]
+            acc = acc + (term if i % 2 == 1 else -term)
+        elem.append(acc.scale(Fraction(1, k)))
+    return BivariatePolynomial([elem[m - k] if (m - k) % 2 == 0 else -elem[m - k]
+                                for k in range(m + 1)])
+
+
+def test_charpoly_equals_full_power_traces():
+    rnd = random.Random(61)
+    paths = [DIAG_PATH] + [data.matrix_path(name) for name in
+                           ("diagonal_radial", "escape_diagonal", "shear_mix")]
+    for size in (1, 2, 3, 4):
+        entries = [[RationalPoly([GaussianRational(Fraction(rnd.randint(-3, 3), 8 * size),
+                                                   Fraction(rnd.randint(-3, 3), 8 * size))
+                                  for _ in range(3)])
+                    for _ in range(size)] for _ in range(size)]
+        paths.append(PolynomialMatrixPath(entries))
+    for path in paths:
+        assert charpoly_path(path) == full_power_charpoly(path)
+
+
 def test_path_membership_checked_at_zero():
     with pytest.raises(OnOrOutsideBoundary):
         PolynomialMatrixPath([[RationalPoly([1, 1])]])
@@ -329,6 +364,27 @@ def test_monodromy_matches_equal_the_optimal_assignment(monkeypatch):
     for P in polys:
         monodromy_branch_index(P, 0.005)
     assert len(seen) == len(polys) * 513
+
+
+def test_monodromy_root_inputs_equal_eval_t(monkeypatch):
+    # the coefficients converted once give every np.roots call the same
+    # floats as evaluating P(t, .) afresh at each step
+    calls = []
+    original = np.roots
+
+    def recording(coeffs):
+        calls.append(list(coeffs))
+        return original(coeffs)
+
+    monkeypatch.setattr(symdom.np, "roots", recording)
+    polys = [data.charpoly(name) for name in data.charpoly_names()]
+    polys += [SHIFTED, biv(["1/3"], ["-1/7", "-2/3"], [1])]
+    for P in polys:
+        calls.clear()
+        radius = 0.005
+        monodromy_branch_index(P, radius, steps=64)
+        steps = [radius] + [radius * np.exp(2j * np.pi * j / 64) for j in range(1, 65)]
+        assert calls[-65:] == [list(reversed(P.eval_t(t))) for t in steps]
 
 
 def test_monodromy_radius():
