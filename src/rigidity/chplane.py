@@ -52,6 +52,7 @@ __all__ = [
 ]
 
 FORM_TOLERANCE = 1e-10
+ROOT_TOL = 1e-12  # parameter tolerance of the crossing bisections
 _J = np.diag([1.0, 1.0, -1.0]).astype(complex)
 
 
@@ -299,7 +300,7 @@ def real_geodesic(a, b):
     return RealGeodesic(a, b)
 
 
-def _bisect(f, lo, hi, tol):
+def _bisect(f, lo, hi):
     flo, fhi = f(lo), f(hi)
     if flo == 0.0:
         return lo
@@ -307,7 +308,7 @@ def _bisect(f, lo, hi, tol):
         return hi
     if (flo > 0) == (fhi > 0):
         raise RootNotBracketed(f"no sign change on [{lo}, {hi}]")
-    while hi - lo > tol:
+    while hi - lo > ROOT_TOL:
         mid = 0.5 * (lo + hi)
         fmid = f(mid)
         if fmid == 0.0:
@@ -319,7 +320,7 @@ def _bisect(f, lo, hi, tol):
     return 0.5 * (lo + hi)
 
 
-def _level_crossing(xi, geodesic, toward_positive, root_tol):
+def _level_crossing(xi, geodesic, toward_positive):
     """Parameter where the horocycle level of xi along the geodesic equals 1.
 
     The level is monotone along the geodesic, diverging toward xi and
@@ -336,13 +337,13 @@ def _level_crossing(xi, geodesic, toward_positive, root_tol):
             hi *= 2
             if hi > 64:
                 raise RootNotBracketed("level never drops below 1 on the positive side")
-        return _bisect(f, lo, hi, root_tol)
+        return _bisect(f, lo, hi)
     lo, hi = -step, 0.0
     while f(lo) > 0:
         lo *= 2
         if lo < -64:
             raise RootNotBracketed("level never drops below 1 on the negative side")
-    return _bisect(f, lo, hi, root_tol)
+    return _bisect(f, lo, hi)
 
 
 @dataclass(frozen=True)
@@ -361,7 +362,7 @@ class Step2Result:
         }
 
 
-def step2_verify(theta_twist=0.0, root_tol=1e-12):
+def step2_verify(theta_twist=0.0):
     """Locate the unit-horocycle crossings on the geodesic joining the two
     orthogonal ray endpoints and report their distance.
 
@@ -375,8 +376,8 @@ def step2_verify(theta_twist=0.0, root_tol=1e-12):
     xi_a = BoundaryPoint(cmath.exp(-1j * theta_twist), 0.0)
     xi_b = BoundaryPoint(0.0, 1.0)
     delta = real_geodesic(xi_a, xi_b)
-    t1 = _level_crossing(xi_a, delta, toward_positive=False, root_tol=root_tol)
-    t2 = _level_crossing(xi_b, delta, toward_positive=True, root_tol=root_tol)
+    t1 = _level_crossing(xi_a, delta, toward_positive=False)
+    t2 = _level_crossing(xi_b, delta, toward_positive=True)
     p1 = delta.point(t1)
     p2 = delta.point(t2)
     dist = distance(p1, p2)

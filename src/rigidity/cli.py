@@ -93,8 +93,8 @@ def cmd_intersection(args):
         "constant_half_refuted": bool(vmax - vmin > args.tolerance),
     }
     if args.length_bound is not None:
-        census = flatsurf.saddle_connections(origami, args.length_bound)
-        summary["saddle_connection_count"] = len(census)
+        summary["saddle_connection_count"] = flatsurf.saddle_connection_count(
+            origami, args.length_bound)
     _emit_json(summary)
     return EXIT_OK
 
@@ -117,15 +117,13 @@ def cmd_smoothness(args):
     with open(args.path, encoding="utf-8") as fh:
         data = json.load(fh)
     if args.charpoly:
-        P = BivariatePolynomial.from_json(data)
-        report = symdom.smoothness_report_from_charpoly(P, args.epsilon)
+        report = symdom.smoothness_report_from_charpoly(
+            BivariatePolynomial.from_json(data), args.epsilon)
     else:
-        path = symdom.PolynomialMatrixPath.from_json(data)
-        P = symdom.charpoly_path(path)
-        report = symdom.smoothness_report(path, args.epsilon)
-    polygon_k = symdom.newton_puiseux_index(P).K
-    radius = symdom.monodromy_radius(P, args.epsilon)
-    monodromy_k = symdom.monodromy_branch_index(P, radius)
+        report = symdom.smoothness_report(
+            symdom.PolynomialMatrixPath.from_json(data), args.epsilon)
+    polygon_k = report.branch.K
+    monodromy_k = symdom.monodromy_index(report.charpoly, args.epsilon)
     agreement = polygon_k == monodromy_k
     payload = {
         "K": report.K,

@@ -52,10 +52,6 @@ class GaussianRational:
     def is_zero(self):
         return self.re == 0 and self.im == 0
 
-    @property
-    def is_real(self):
-        return self.im == 0
-
     def conjugate(self):
         return GaussianRational(self.re, -self.im)
 

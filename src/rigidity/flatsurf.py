@@ -45,6 +45,7 @@ __all__ = [
     "load_origami",
     "area",
     "saddle_connections",
+    "saddle_connection_count",
     "cylinder_decomposition",
     "horizontal_multicurve",
     "intersection_profile",
@@ -337,6 +338,14 @@ def saddle_connections(origami, max_length=DEFAULT_LENGTH_BOUND):
         blocks.append(((norm2, 1, -p), -hol, sorted((e, s) for s, e in pairs)))
     blocks.sort(key=lambda block: block[0])
     return [SaddleConnection(s, e, hol) for _, hol, pairs in blocks for s, e in pairs]
+
+
+def saddle_connection_count(origami, max_length=DEFAULT_LENGTH_BOUND):
+    """Number of oriented saddle connections with |holonomy| <= max_length,
+    equal to len(saddle_connections(origami, max_length)) without building
+    them: each primitive upper direction carries one connection per square,
+    and each is mirrored once."""
+    return 2 * origami.n * len(_primitive_upper_directions(max_length))
 
 
 @dataclass(frozen=True)

@@ -49,13 +49,17 @@ __all__ = [
     "kobayashi_distance_origin",
     "charpoly_path",
     "newton_puiseux_index",
-    "monodromy_radius",
+    "monodromy_index",
     "monodromy_branch_index",
     "smoothness_report",
     "smoothness_report_from_charpoly",
 ]
 
 BALL_MARGIN = 1e-12
+SMOOTHNESS_SAMPLES = 64  # distance samples on [0, epsilon] per report
+FIT_DEGREE = 8           # degree of both residual fits
+COLLISION_TOL = 1e-8     # tracked roots closer than this count as merged
+MONODROMY_STEPS = 512    # steps around the tracking circle
 
 
 class OnOrOutsideBoundary(ValueError):
@@ -266,18 +270,35 @@ class PuiseuxBranchReport:
 
     ``leading_exponent`` and ``leading_coefficient`` describe the first
     nonconstant term of the branch; both are zero for a constant branch.
+    ``top_at_zero`` is the exact top eigenvalue lambda_0 at t = 0.
     """
 
     K: int
     leading_exponent: Fraction
     leading_coefficient: complex
+    top_at_zero: Fraction
 
     def __post_init__(self):
         object.__setattr__(self, "leading_exponent", Fraction(self.leading_exponent))
+        object.__setattr__(self, "top_at_zero", Fraction(self.top_at_zero))
         if self.K < 1:
             raise ValueError("branching index must be positive")
         if self.leading_exponent < 0 or self.K % self.leading_exponent.denominator:
             raise ValueError("leading exponent denominator must divide K")
+
+    @property
+    def distance_index(self):
+        """Branching index of arctanh(sqrt(top eigenvalue)) in t.
+
+        The square root composes with the Puiseux parameter: with a vanishing
+        eigenvalue at t = 0 the leading exponent mu is halved, so the index
+        becomes lcm(denominator(mu/2), K); a positive eigenvalue keeps K.
+        """
+        if self.leading_coefficient == 0:
+            return 1
+        if self.top_at_zero > 0:
+            return self.K
+        return math.lcm((self.leading_exponent / 2).denominator, self.K)
 
 
 def _exact_top_root_at_zero(poly):
@@ -444,8 +465,8 @@ def newton_puiseux_index(P):
         if chosen is None:
             # the exactly-zero branch dominates: the expansion terminates
             if first_term is None:
-                return PuiseuxBranchReport(K, Fraction(0), 0j)
-            return PuiseuxBranchReport(K, first_term[0], first_term[1])
+                return PuiseuxBranchReport(K, Fraction(0), 0j, lam0)
+            return PuiseuxBranchReport(K, first_term[0], first_term[1], lam0)
 
         mu, c_float, q, p, epoly, z0 = chosen
         exponent_global = offset + Fraction(p, q * denom)
@@ -461,7 +482,7 @@ def newton_puiseux_index(P):
             K *= q
             if first_term is None:
                 first_term = (exponent_global, complex(c_float))
-            return PuiseuxBranchReport(K, first_term[0], first_term[1])
+            return PuiseuxBranchReport(K, first_term[0], first_term[1], lam0)
 
         # multiple root: substitute exactly and refine at the next level
         z_exact = _match_rational_root(gcd_poly, z0)
@@ -513,10 +534,22 @@ def _nearest_branch_point(P):
     return min(abs(b) for b in np.roots(list(reversed(deflated.complex_coeffs()))))
 
 
-def monodromy_radius(P, epsilon):
-    """Deterministic tracking radius clear of every nonzero branch point:
-    min(0.01, epsilon / 4, half the modulus of the nearest one)."""
-    return min(0.01, epsilon / 4.0, 0.5 * _nearest_branch_point(P))
+def _root_solver(P):
+    """roots_at(t), the numeric roots of y -> P(t, y).  The coefficients are
+    converted to complex once and evaluated by the Horner steps of eval_t,
+    so every np.roots input is bit-identical to eval_t's."""
+    complex_coeffs = [c.complex_coeffs() for c in reversed(P.coeffs)]
+
+    def roots_at(t):
+        values = []
+        for coeffs in complex_coeffs:
+            out = 0j
+            for c in reversed(coeffs):
+                out = out * t + c
+            values.append(out)
+        return np.roots(values)
+
+    return roots_at
 
 
 def _nearest_match(roots, fresh, where):
@@ -528,7 +561,7 @@ def _nearest_match(roots, fresh, where):
     return match
 
 
-def monodromy_branch_index(P, radius, steps=512, collision_tol=1e-8):
+def _track_top_branch(P, radius, steps):
     """Cycle length of the top branch under analytic continuation around 0.
 
     The roots of P(t, .) are tracked along the circle |t| = radius in fixed
@@ -541,33 +574,8 @@ def monodromy_branch_index(P, radius, steps=512, collision_tol=1e-8):
     optimal assignment.  The branch starting at the root with the largest
     real part at t = radius is followed; the cycle length of the final root
     permutation through that branch is returned.
-
-    The radius must not enclose or touch any branch point other than 0,
-    which is checked through the roots of the exact discriminant.
     """
-    if radius <= 0:
-        raise ValueError("radius must be positive")
-    if P.degree_y < 1:
-        raise ValueError("P must depend on the eigenvalue variable")
-    closest = _nearest_branch_point(P)
-    if closest <= radius * (1.0 + 1e-9):
-        raise BranchPointOnCircle(
-            f"branch point at |t| = {closest:.6g} lies within the circle "
-            f"of radius {radius}"
-        )
-
-    # each coefficient converted to complex once; the Horner steps of eval_t
-    complex_coeffs = [c.complex_coeffs() for c in reversed(P.coeffs)]
-
-    def roots_at(t):
-        values = []
-        for coeffs in complex_coeffs:
-            out = 0j
-            for c in reversed(coeffs):
-                out = out * t + c
-            values.append(out)
-        return np.roots(values)
-
+    roots_at = _root_solver(P)
     start = roots_at(radius)
     m = len(start)
     if m == 1:
@@ -581,9 +589,9 @@ def monodromy_branch_index(P, radius, steps=512, collision_tol=1e-8):
         # collision guard: the matching is meaningless if roots merge
         for a in range(m):
             for b in range(a + 1, m):
-                if abs(new[a] - new[b]) < collision_tol:
+                if abs(new[a] - new[b]) < COLLISION_TOL:
                     raise BranchPointOnCircle(
-                        f"root collision within {collision_tol} at step {j}"
+                        f"root collision within {COLLISION_TOL} at step {j}"
                     )
         current = new
     # match the final configuration back to the start to read the permutation
@@ -597,81 +605,97 @@ def monodromy_branch_index(P, radius, steps=512, collision_tol=1e-8):
     return length
 
 
+def monodromy_index(P, epsilon):
+    """Monodromy branch index of the top branch around |t| = r, with r the
+    least of 0.01, epsilon / 4 and half the nearest nonzero branch point:
+    one exact discriminant picks r, and by construction the circle encloses
+    and touches no branch point other than 0."""
+    if epsilon <= 0:
+        raise ValueError("epsilon must be positive")
+    radius = min(0.01, epsilon / 4.0, 0.5 * _nearest_branch_point(P))
+    return _track_top_branch(P, radius, MONODROMY_STEPS)
+
+
+def monodromy_branch_index(P, radius, steps=MONODROMY_STEPS):
+    """Monodromy branch index of the top branch around |t| = radius, after
+    checking through the exact discriminant that the circle encloses and
+    touches no branch point other than 0."""
+    if radius <= 0:
+        raise ValueError("radius must be positive")
+    if P.degree_y < 1:
+        raise ValueError("P must depend on the eigenvalue variable")
+    closest = _nearest_branch_point(P)
+    if closest <= radius * (1.0 + 1e-9):
+        raise BranchPointOnCircle(
+            f"branch point at |t| = {closest:.6g} lies within the circle "
+            f"of radius {radius}"
+        )
+    return _track_top_branch(P, radius, steps)
+
+
 @dataclass(frozen=True)
 class SmoothnessReport:
-    K: int
+    """Fit residuals of the distance on [0, epsilon]; ``branch`` is the
+    Puiseux analysis of ``charpoly``, and K its distance-level index."""
+
     fit_residual: float
     naive_residual: float
     epsilon: float
+    branch: PuiseuxBranchReport
+    charpoly: BivariatePolynomial
+
+    @property
+    def K(self):
+        return self.branch.distance_index
 
 
-def _distance_smoothness_index(P):
-    """Branching index of arctanh(sqrt(top eigenvalue)) in t.
-
-    The square root composes with the Puiseux parameter: with a vanishing
-    eigenvalue at t = 0 the leading exponent mu is halved, so the index
-    becomes lcm(denominator(mu/2), K); a positive eigenvalue keeps K.
-    """
-    report = newton_puiseux_index(P)
-    lam0 = _exact_top_root_at_zero(P.at_t_zero())
-    if report.leading_coefficient == 0:
-        return 1, report
-    if lam0 > 0:
-        return report.K, report
-    half = report.leading_exponent / 2
-    return math.lcm(half.denominator, report.K), report
-
-
-def _fit_residual(ts, ds, K, degree):
+def _fit_residual(ts, ds, K):
     us = np.power(ts, 1.0 / K)
     u_scale = us[-1] if us[-1] > 0 else 1.0
-    coeffs = np.polyfit(us / u_scale, ds, degree)
+    coeffs = np.polyfit(us / u_scale, ds, FIT_DEGREE)
     return float(np.max(np.abs(np.polyval(coeffs, us / u_scale) - ds)))
 
 
-def _top_eigenvalue_numeric(P, t):
-    roots = np.roots(list(reversed(P.eval_t(t))))
-    real = [r.real for r in roots if abs(r.imag) < 1e-7]
-    if not real:
-        raise PuiseuxError(f"no real eigenvalue at t = {t}")
-    return max(real)
-
-
-def _sample_and_fit(P, epsilon, samples, fit_degree, distance_at):
+def _sample_and_fit(P, epsilon, distance_at):
     """Report for the distances distance_at(t) sampled on [0, epsilon], with
-    K taken from the exact characteristic polynomial P."""
-    K, _ = _distance_smoothness_index(P)
-    ts = np.linspace(0.0, epsilon, samples)
+    K from the Puiseux analysis of the exact characteristic polynomial P."""
+    branch = newton_puiseux_index(P)
+    ts = np.linspace(0.0, epsilon, SMOOTHNESS_SAMPLES)
     ds = np.array([distance_at(float(t)) for t in ts])
     return SmoothnessReport(
-        K=K,
-        fit_residual=_fit_residual(ts, ds, K, fit_degree),
-        naive_residual=_fit_residual(ts, ds, 1, fit_degree),
+        fit_residual=_fit_residual(ts, ds, branch.distance_index),
+        naive_residual=_fit_residual(ts, ds, 1),
         epsilon=float(epsilon),
+        branch=branch,
+        charpoly=P,
     )
 
 
-def smoothness_report_from_charpoly(P, epsilon, samples=64, fit_degree=8):
+def smoothness_report_from_charpoly(P, epsilon):
     """Smoothness certificate computed from a characteristic polynomial.
 
-    Samples d(t) = arctanh(sqrt(top eigenvalue)) on [0, epsilon], fits a
-    polynomial of the given degree in u = t**(1/K) with K from the polygon
-    analysis, and reports the maximal sample residual together with the
-    residual of the naive fit in t itself.
+    Samples d(t) = arctanh(sqrt(top eigenvalue)) at ``SMOOTHNESS_SAMPLES``
+    points of [0, epsilon], fits a polynomial of degree ``FIT_DEGREE`` in
+    u = t**(1/K) with K from the polygon analysis, and reports the maximal
+    sample residual together with the residual of the naive fit in t itself.
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
+    roots_at = _root_solver(P)
 
     def distance_at(t):
-        top = math.sqrt(max(_top_eigenvalue_numeric(P, t), 0.0))
+        real = [r.real for r in roots_at(t) if abs(r.imag) < 1e-7]
+        if not real:
+            raise PuiseuxError(f"no real eigenvalue at t = {t}")
+        top = math.sqrt(max(max(real), 0.0))
         if top > 1.0 - BALL_MARGIN:
             raise BoundaryHit(f"norm {top} at t = {t} is not inside the ball")
         return math.atanh(top)
 
-    return _sample_and_fit(P, epsilon, samples, fit_degree, distance_at)
+    return _sample_and_fit(P, epsilon, distance_at)
 
 
-def smoothness_report(path, epsilon, samples=64, fit_degree=8):
+def smoothness_report(path, epsilon):
     """Smoothness certificate for the distance along a polynomial path.
 
     The branching index comes from the exact characteristic polynomial; the
@@ -687,4 +711,4 @@ def smoothness_report(path, epsilon, samples=64, fit_degree=8):
             raise BoundaryHit(f"operator norm {norm} at t = {t} leaves the ball")
         return math.atanh(norm)
 
-    return _sample_and_fit(charpoly_path(path), epsilon, samples, fit_degree, distance_at)
+    return _sample_and_fit(charpoly_path(path), epsilon, distance_at)

@@ -1,10 +1,16 @@
+import hashlib
+import importlib.util
 import json
 import math
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
-from rigidity import data
+from rigidity import data, exactpoly, symdom
 from rigidity.cli import main
+
+ROOT = Path(__file__).resolve().parents[1]
 
 L3_PATH = data.data_path("origamis", "l_shape_3")
 TORUS_PATH = data.data_path("origamis", "torus")
@@ -138,11 +144,63 @@ def test_smoothness_shear_path(capsys):
 def test_oracle_disagreement_exits_three(capsys, monkeypatch):
     # force the two branch indices apart to check the exit-code wiring
     import rigidity.cli as cli_mod
-    monkeypatch.setattr(cli_mod.symdom, "monodromy_branch_index",
-                        lambda P, radius, **kw: 99)
+    monkeypatch.setattr(cli_mod.symdom, "monodromy_index",
+                        lambda P, epsilon: 99)
     code, _, err = run(capsys, "smoothness", "--path", DIAG_PATH)
     assert code == 3
     assert "mismatch" in err
+
+
+def smoothness_inputs():
+    inputs = {name: ["--path", data.data_path("paths", name)]
+              for name in ("diagonal_radial", "shear_mix")}
+    inputs["escape_diagonal"] = ["--path", ESCAPE_PATH, "--epsilon", "1.0"]
+    for name in data.charpoly_names():
+        inputs[name] = ["--charpoly", "--path", data.data_path("charpolys", name)]
+    return inputs
+
+
+@pytest.mark.parametrize("name", sorted(smoothness_inputs()))
+def test_smoothness_runs_each_stage_once(name, capsys, monkeypatch):
+    calls = Counter()
+
+    def count(holder, attr):
+        original = getattr(holder, attr)
+
+        def counted(*args, **kwargs):
+            calls[attr] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(holder, attr, counted)
+
+    count(exactpoly.BivariatePolynomial, "discriminant")
+    count(symdom, "rational_roots")
+    count(symdom, "charpoly_path")
+    count(symdom, "newton_puiseux_index")
+    run(capsys, "smoothness", *smoothness_inputs()[name])
+    assert calls["discriminant"] <= 1
+    assert calls["rational_roots"] == 1
+    assert calls["charpoly_path"] <= 1
+    assert calls["newton_puiseux_index"] == 1
+
+
+def test_cli_grid_matches_the_recorded_reference(capsys, monkeypatch, tmp_path):
+    # every invocation of the benchmark's CLI grid, in process, against the
+    # exit codes and stdout digests recorded from the seed code
+    spec = importlib.util.spec_from_file_location("perfbench_gen",
+                                                  ROOT / "perfbench" / "gen.py")
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    reference = json.loads((ROOT / "perfbench" / "cli_reference.json").read_text())
+    grid = gen.cli_grid()
+    assert sorted(grid) == sorted(reference)
+    monkeypatch.chdir(ROOT)
+    for key, argv in grid.items():
+        argv = [str(tmp_path / "profile.csv") if a == "@OUT" else a for a in argv]
+        code, out, _ = run(capsys, *argv)
+        digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
+        assert (code, digest) == (reference[key]["exit"],
+                                  reference[key]["stdout_sha256"]), key
 
 
 def test_smoothness_boundary_exit_one(capsys):

@@ -26,6 +26,7 @@ from rigidity.flatsurf import (
     intersection_q_horizontal,
     profile_nonconstancy,
     rotate_differential,
+    saddle_connection_count,
     saddle_connections,
     teich_disk_distance,
 )
@@ -366,6 +367,20 @@ def test_census_equals_fraction_reference_random():
         census = saddle_connections(o, L)
         assert census == fraction_census(o, L)
         assert len(census) == o.n * primitive_count(L)
+
+
+@pytest.mark.parametrize("name", data.origami_names())
+def test_connection_count_equals_census_length(name):
+    o = data.origami(name)
+    for L in (0.0, 0.5, 1.0, 1.5, 2.5, 7.0, 10.0, 20.0, 40.0):
+        assert saddle_connection_count(o, L) == len(saddle_connections(o, L))
+
+
+def test_connection_count_equals_census_length_random():
+    rnd = random.Random(11)
+    for n_min, n_max, L in ((2, 10, 12.0), (10, 30, 9.0), (30, 60, 7.5), (60, 60, 6.0)):
+        o = random_transitive_origami(rnd, n_min, n_max)
+        assert saddle_connection_count(o, L) == len(saddle_connections(o, L))
 
 
 def test_census_order_is_exact_beyond_float_lengths():

@@ -20,7 +20,7 @@ from rigidity.symdom import (
     charpoly_path,
     kobayashi_distance_origin,
     monodromy_branch_index,
-    monodromy_radius,
+    monodromy_index,
     newton_puiseux_index,
     operator_norm,
     smoothness_report,
@@ -387,11 +387,66 @@ def test_monodromy_root_inputs_equal_eval_t(monkeypatch):
         assert calls[-65:] == [list(reversed(P.eval_t(t))) for t in steps]
 
 
-def test_monodromy_radius():
+def test_sampling_root_inputs_equal_eval_t(monkeypatch):
+    # the report's 64 distance samples solve the same floats as evaluating
+    # P(t, .) afresh at each sample point
+    calls = []
+    original = np.roots
+
+    def recording(coeffs):
+        calls.append(list(coeffs))
+        return original(coeffs)
+
+    monkeypatch.setattr(symdom.np, "roots", recording)
+    polys = [data.charpoly(name) for name in data.charpoly_names()]
+    polys += [SHIFTED, biv(["1/15", "1/35"], ["-8/15", "-1/7"], [1])]
+    for P in polys:
+        calls.clear()
+        smoothness_report_from_charpoly(P, 0.1)
+        ts = np.linspace(0.0, 0.1, symdom.SMOOTHNESS_SAMPLES)
+        assert calls[-len(ts):] == [list(reversed(P.eval_t(float(t)))) for t in ts]
+
+
+def tracking_radius(monkeypatch):
+    """monodromy_index with the tracker replaced by the radius it is handed."""
+    monkeypatch.setattr(symdom, "_track_top_branch", lambda P, radius, steps: radius)
+    return monodromy_index
+
+
+def test_monodromy_radius(monkeypatch):
+    monodromy_radius = tracking_radius(monkeypatch)
     assert monodromy_radius(SQRT_BRANCH, 0.1) == 0.01
     assert monodromy_radius(SQRT_BRANCH, 0.02) == 0.005
     # y^2 - (t - 1/200): the branch point at 1/200 halves the radius
     assert abs(monodromy_radius(biv(["1/200", -1], [], [1]), 0.1) - 0.0025) < 1e-15
+
+
+def test_monodromy_index_equals_branch_index_at_its_radius(monkeypatch):
+    radii = []
+    original = symdom._track_top_branch
+
+    def recording(P, radius, steps):
+        radii.append(radius)
+        return original(P, radius, steps)
+
+    monkeypatch.setattr(symdom, "_track_top_branch", recording)
+    polys = [data.charpoly(name) for name in data.charpoly_names()]
+    polys += [SQRT_BRANCH, SHIFTED, ANALYTIC, biv([2], [-3], [1]),
+              biv([0, 0, 0, 1], [], [], [1]),                  # y^3 + t^3
+              biv(["1/200", -1], [], [1]),                     # branch point 1/200
+              biv([0, 100], [-1, -100], [1])]                  # branch point 1/100
+    for P in polys:
+        for epsilon in (0.1, 0.02):
+            k = monodromy_index(P, epsilon)
+            radius = radii[-1]
+            assert k == monodromy_branch_index(P, radius)
+
+
+def test_monodromy_index_rejects():
+    with pytest.raises(ValueError, match="epsilon"):
+        monodromy_index(SQRT_BRANCH, 0.0)
+    with pytest.raises(BranchPointOnCircle):
+        monodromy_index(biv([0, 0, 1], [0, -2], [1]), 0.1)  # (y - t)^2
 
 
 def test_oracle_agreement_on_bundled_polynomials():
@@ -433,6 +488,16 @@ def test_smoothness_injected_square_root_case():
     assert rep.K == 2
     assert rep.fit_residual < 1e-8
     assert rep.naive_residual > 1e-3
+
+
+def test_smoothness_report_carries_its_branch_and_charpoly():
+    rep = smoothness_report(DIAG_PATH, 0.1)
+    assert rep.charpoly == ANALYTIC
+    assert rep.branch == newton_puiseux_index(ANALYTIC)
+    assert rep.branch.top_at_zero == Fraction(1, 4)
+    rep = smoothness_report_from_charpoly(SQRT_BRANCH, 0.05)
+    assert rep.charpoly is SQRT_BRANCH
+    assert (rep.branch.K, rep.branch.top_at_zero, rep.K) == (2, 0, 4)
 
 
 def test_smoothness_constant_path():
