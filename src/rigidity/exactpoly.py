@@ -11,12 +11,12 @@ of y.
 
 import math
 from fractions import Fraction
-from itertools import zip_longest
 
 __all__ = [
     "GaussianRational",
     "RationalPoly",
     "BivariatePolynomial",
+    "gram_charpoly",
     "rational_roots",
     "rational_nth_root",
 ]
@@ -352,23 +352,30 @@ class RationalPoly:
 
 
 def _int_nth_root(a, n):
-    """Floor of the n-th root of a non-negative integer."""
+    """Floor of the n-th root of a non-negative integer, by isqrt for n = 2
+    and by integer Newton steps from above otherwise."""
     if a < 0:
         raise ValueError("negative radicand")
+    if n == 2:
+        return math.isqrt(a)
     if a == 0:
         return 0
-    x = int(round(a ** (1.0 / n)))
-    while x > 0 and x**n > a:
-        x -= 1
-    while (x + 1) ** n <= a:
-        x += 1
-    return x
+    # 2**ceil(bits / n) is at least the root; Newton's step on x**n - a then
+    # decreases strictly until it reaches the floor of the root
+    x = 1 << -(-a.bit_length() // n)
+    while True:
+        y = ((n - 1) * x + a // x ** (n - 1)) // n
+        if y >= x:
+            return x
+        x = y
 
 
 def rational_nth_root(x, n):
     """Exact Fraction n-th root of x, or None when irrational.
 
-    For even n the non-negative root is returned.
+    For even n the non-negative root is returned.  Only integer arithmetic is
+    used, so inputs of any size are answered in time polynomial in their
+    number of digits.
     """
     x = Fraction(x)
     if n <= 0:
@@ -397,12 +404,28 @@ def _divisors(n):
     return out
 
 
+def _homogeneous_value(coeffs, p, q_powers):
+    """q**d * f(p/q) = sum_k a_k p**k q**(d-k) for integer a_k, by Horner."""
+    d = len(coeffs) - 1
+    acc = coeffs[d]
+    for k in range(d - 1, -1, -1):
+        acc = acc * p + coeffs[k] * q_powers[d - k]
+    return acc
+
+
 def rational_roots(poly):
     """All rational roots of a RationalPoly, found exactly.
 
-    Candidates come from the rational root theorem applied to the real parts
-    after clearing denominators; each candidate is verified by exact
-    evaluation, so the result is correct even for complex coefficients.
+    Zero roots are split off by the valuation.  The other coefficients are
+    cleared of denominators once, into integer real and imaginary parts
+    a_k = re_k + i im_k.  A root p/q in lowest terms has p dividing
+    g_0 = gcd(re_0, im_0) and q dividing g_d = gcd(re_d, im_d) (rational
+    root theorem), and is a root exactly when sum_k a_k p**k q**(d-k)
+    vanishes, which integer Horner steps check on the real part and then
+    the imaginary part.  Candidates with gcd(p, q) > 1 are skipped, since
+    their reduced form is a candidate too.  The cost is O(d) big-integer
+    products for each of at most 2 tau(g_0) tau(g_d) candidates (tau counts
+    divisors), plus the trial division that lists the divisors.
     """
     if poly.is_zero:
         raise ValueError("every rational is a root of the zero polynomial")
@@ -413,22 +436,18 @@ def rational_roots(poly):
         poly = poly.shift_down(val)
     if poly.degree == 0:
         return roots
-    denoms = 1
-    for c in poly.coeffs:
-        denoms = denoms * c.re.denominator * c.im.denominator // math.gcd(
-            denoms, c.re.denominator * c.im.denominator
-        )
-    lead = poly.leading() * denoms
-    low = poly.coeff(0) * denoms
-    lead_int = math.gcd(int(lead.re), int(lead.im))
-    low_int = math.gcd(int(low.re), int(low.im))
-    for p in _divisors(low_int):
-        for q in _divisors(lead_int):
-            for cand in (Fraction(p, q), Fraction(-p, q)):
-                if cand in roots:
-                    continue
-                if poly.eval_exact(GaussianRational(cand)).is_zero:
-                    roots.append(cand)
+    denom = _common_denominator([poly])
+    re = [int(c.re * denom) for c in poly.coeffs]
+    im = [int(c.im * denom) for c in poly.coeffs]
+    degree = poly.degree
+    for q in _divisors(math.gcd(re[-1], im[-1])):
+        q_powers = [q**j for j in range(degree + 1)]
+        for p in _divisors(math.gcd(re[0], im[0])):
+            if math.gcd(p, q) > 1:
+                continue
+            for s in (p, -p):
+                if all(_homogeneous_value(part, s, q_powers) == 0 for part in (re, im)):
+                    roots.append(Fraction(s, q))
     return sorted(roots)
 
 
@@ -560,23 +579,23 @@ def _gi_trim(cs):
     return cs
 
 
-def _gi_mul(a, b):
-    if not a or not b:
-        return []
-    re = [0] * (len(a) + len(b) - 1)
-    im = [0] * len(re)
-    for i, (ar, ai) in enumerate(a):
-        if not (ar or ai):
+def _gi_dot(pairs):
+    """Sum of the products a * b over an iterable of (a, b) pairs."""
+    re, im = [], []
+    for a, b in pairs:
+        if not a or not b:
             continue
-        for j, (br, bi) in enumerate(b):
-            re[i + j] += ar * br - ai * bi
-            im[i + j] += ar * bi + ai * br
+        grow = len(a) + len(b) - 1 - len(re)
+        if grow > 0:
+            re += [0] * grow
+            im += [0] * grow
+        for i, (ar, ai) in enumerate(a):
+            if not (ar or ai):
+                continue
+            for j, (br, bi) in enumerate(b):
+                re[i + j] += ar * br - ai * bi
+                im[i + j] += ar * bi + ai * br
     return _gi_trim(list(zip(re, im)))
-
-
-def _gi_sub(a, b):
-    pairs = zip_longest(a, b, fillvalue=(0, 0))
-    return _gi_trim([(ar - br, ai - bi) for (ar, ai), (br, bi) in pairs])
 
 
 def _gi_exact_div(a, b):
@@ -637,20 +656,31 @@ def _bareiss_det(rows):
         pivot_row = rows[k]
         pivot = pivot_row[k]
         for row in rows[k + 1:]:
-            lead = row[k]
+            minus_lead = [(-re, -im) for re, im in row[k]]
             for j in range(k + 1, size):
-                entry = _gi_mul(row[j], pivot)
-                if lead and pivot_row[j]:
-                    entry = _gi_sub(entry, _gi_mul(lead, pivot_row[j]))
+                entry = _gi_dot(((row[j], pivot), (minus_lead, pivot_row[j])))
                 row[j] = _gi_exact_div(entry, prev)
         prev = pivot
     det = rows[-1][-1]
     return det if sign > 0 else [(-re, -im) for re, im in det]
 
 
+def _common_denominator(polys):
+    """lcm of the denominators of every coefficient of the given polynomials."""
+    return math.lcm(*(d for poly in polys for c in poly.coeffs
+                      for d in (c.re.denominator, c.im.denominator)))
+
+
 def _gaussian_int_poly(poly, denom):
     """Coefficients of denom * poly as (re, im) int pairs; denom clears them."""
     return [(int(c.re * denom), int(c.im * denom)) for c in poly.coeffs]
+
+
+def _rational_poly(cs, scale):
+    """The RationalPoly with Gaussian-integer coefficients cs divided by scale."""
+    return RationalPoly([
+        GaussianRational(Fraction(re, scale), Fraction(im, scale)) for re, im in cs
+    ])
 
 
 def _resultant_y(P, Q):
@@ -665,18 +695,52 @@ def _resultant_y(P, Q):
         return P.coeffs[0] ** n if n else RationalPoly.one()
     if n == 0:
         return Q.coeffs[0] ** m if m else RationalPoly.one()
-    denom = 1
-    for poly in P.coeffs + Q.coeffs:
-        for c in poly.coeffs:
-            denom = math.lcm(denom, c.re.denominator, c.im.denominator)
+    denom = _common_denominator(P.coeffs + Q.coeffs)
     pc = [_gaussian_int_poly(c, denom) for c in reversed(P.coeffs)]
     qc = [_gaussian_int_poly(c, denom) for c in reversed(Q.coeffs)]
     size = m + n
     rows = [[[]] * i + pc + [[]] * (size - m - 1 - i) for i in range(n)]
     rows += [[[]] * i + qc + [[]] * (size - n - 1 - i) for i in range(m)]
-    scale = denom**size
-    return RationalPoly([
-        GaussianRational(Fraction(re, scale), Fraction(im, scale))
-        for re, im in _bareiss_det(rows)
-    ])
+    return _rational_poly(_bareiss_det(rows), denom**size)
 
+
+def gram_charpoly(entries):
+    """det(y I - V* V) for a matrix V of RationalPoly entries in t, exactly.
+
+    V* conjugates the coefficients, which is the adjoint of V(t) at real t.
+    The denominators are cleared once: with d the lcm of every coefficient
+    denominator, W = d V has Gaussian-integer polynomial entries and
+    G = W* W = d**2 V* V.  Newton's identities on the power traces of G
+    (tr G**k read off the diagonal of G**k for k < m, and tr G**m as
+    sum_ij (G**(m-1))_ij G_ji, which needs no m-th power) give the
+    coefficients c_k of y**(m-k) in det(y I - G) through
+    k c_k = -sum_i c_(k-i) tr G**i.  Those are Gaussian-integer
+    polynomials, so each division by k is exact and is checked by
+    _gi_exact_div.  Scaling y by d**2 turns them into the coefficients of
+    V* V: c_k is divided by d**(2k) once, on the way out.  The result is
+    monic in y of degree m, the number of columns, and its coefficients are
+    real polynomials, since V* V is Hermitian at real t.  The cost is m - 2
+    products of m x m polynomial matrices, all over the integers.
+    """
+    denom = _common_denominator([e for row in entries for e in row])
+    w = [[_gaussian_int_poly(e, denom) for e in row] for row in entries]
+    m = len(w[0])
+    gram = [[_gi_dot(([(re, -im) for re, im in row[i]], row[j]) for row in w)
+             for j in range(m)] for i in range(m)]
+    one = [(1, 0)]
+    power = gram
+    traces = [_gi_dot((gram[i][i], one) for i in range(m))]
+    for _ in range(m - 2):
+        power = [[_gi_dot((power[i][k], gram[k][j]) for k in range(m))
+                  for j in range(m)] for i in range(m)]
+        traces.append(_gi_dot((power[i][i], one) for i in range(m)))
+    if m > 1:
+        traces.append(_gi_dot((power[i][j], gram[j][i])
+                              for i in range(m) for j in range(m)))
+    coeffs = [one]
+    for k in range(1, m + 1):
+        acc = _gi_dot((coeffs[k - i], traces[i - 1]) for i in range(1, k + 1))
+        coeffs.append(_gi_exact_div(acc, [(-k, 0)]))
+    return BivariatePolynomial([
+        _rational_poly(coeffs[m - j], denom ** (2 * (m - j))) for j in range(m + 1)
+    ])

@@ -30,6 +30,7 @@ from .exactpoly import (
     BivariatePolynomial,
     GaussianRational,
     RationalPoly,
+    gram_charpoly,
     rational_nth_root,
     rational_roots,
 )
@@ -208,60 +209,14 @@ class PolynomialMatrixPath:
         return f"PolynomialMatrixPath({self.rows}x{self.cols})"
 
 
-def _gram_entries(path):
-    """Exact entries of V(t)* V(t); conjugating coefficients realizes the
-    adjoint for real t."""
-    g = []
-    for i in range(path.cols):
-        row = []
-        for j in range(path.cols):
-            acc = RationalPoly.zero()
-            for r in range(path.rows):
-                acc = acc + path.entries[r][i].conjugate() * path.entries[r][j]
-            row.append(acc)
-        g.append(row)
-    return g
-
-
-def _poly_mat_mul(a, b):
-    n = len(a)
-    return [
-        [sum((a[i][k] * b[k][j] for k in range(n)), RationalPoly.zero())
-         for j in range(n)]
-        for i in range(n)
-    ]
-
-
 def charpoly_path(path):
     """Characteristic polynomial det(y I - V(t)* V(t)) with exact arithmetic.
 
-    Uses Newton's identities on the exact power traces of the Gram matrix,
-    so every coefficient is an exact Gaussian-rational polynomial in t.  The
-    result is monic in y of degree equal to the number of columns.
+    Computed by exactpoly.gram_charpoly on Gaussian integers, so every
+    coefficient is an exact real polynomial in t.  The result is monic in y
+    of degree equal to the number of columns.
     """
-    gram = _gram_entries(path)
-    m = len(gram)
-    powers = [gram]
-    for _ in range(m - 2):
-        powers.append(_poly_mat_mul(powers[-1], gram))
-    traces = [sum((p[i][i] for i in range(m)), RationalPoly.zero()) for p in powers]
-    if m > 1:
-        # tr G^m = sum_ij (G^(m-1))_ij G_ji: m^2 entry products, not m^3
-        traces.append(sum((powers[-1][i][j] * gram[j][i]
-                           for i in range(m) for j in range(m)), RationalPoly.zero()))
-    # elementary symmetric functions from power sums
-    elem = [RationalPoly.one()]
-    for k in range(1, m + 1):
-        acc = RationalPoly.zero()
-        for i in range(1, k + 1):
-            term = elem[k - i] * traces[i - 1]
-            acc = acc + (term if i % 2 == 1 else -term)
-        elem.append(acc.scale(Fraction(1, k)))
-    coeffs = [RationalPoly.zero()] * (m + 1)
-    for k in range(m + 1):
-        c = elem[k] if k % 2 == 0 else -elem[k]
-        coeffs[m - k] = c
-    return BivariatePolynomial(coeffs)
+    return gram_charpoly(path.entries)
 
 
 @dataclass(frozen=True)

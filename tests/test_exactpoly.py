@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -11,6 +12,7 @@ from rigidity.exactpoly import (
     GaussianRational,
     RationalPoly,
     _bareiss_det,
+    _divisors,
     _gi_exact_div,
     rational_nth_root,
     rational_roots,
@@ -122,6 +124,102 @@ def test_rational_roots_and_nth_roots():
     assert rational_nth_root(Fraction(9, 16), 2) == Fraction(3, 4)
     assert rational_nth_root(Fraction(-27), 3) == -3
     assert rational_nth_root(Fraction(5), 2) is None
+
+
+def test_nth_roots_of_large_powers():
+    for digits in (30, 400):
+        r = 10 ** (digits - 1) + 12345678901234567891
+        for n in (2, 3, 5):
+            assert rational_nth_root(Fraction(r**n, 4**n), n) == Fraction(r, 4)
+            # one more than a perfect power is not one
+            assert rational_nth_root(Fraction(r**n + 1), n) is None
+            assert rational_nth_root(Fraction(r**n, 4**n + 1), n) is None
+        assert rational_nth_root(Fraction(-(r**3), 8), 3) == Fraction(-r, 2)
+        assert rational_nth_root(Fraction(-(r**5)), 5) == -r
+        assert rational_nth_root(Fraction(-(r**2)), 2) is None
+    assert rational_nth_root(Fraction(10**400), 2) == 10**200
+    assert rational_nth_root(Fraction(10**400), 3) is None
+    assert rational_nth_root(Fraction(0), 4) == 0
+    assert rational_nth_root(Fraction(7, 1), 1) == 7
+
+
+def trial_division_rational_roots(poly):
+    """The reference for rational_roots: every +-p/q with p | low and
+    q | lead (not only coprime ones), each tested by exact evaluation over
+    Fraction-based Gaussian rationals."""
+    val = poly.valuation
+    roots = []
+    if val > 0:
+        roots.append(Fraction(0))
+        poly = poly.shift_down(val)
+    if poly.degree == 0:
+        return roots
+    denoms = 1
+    for c in poly.coeffs:
+        denoms = denoms * c.re.denominator * c.im.denominator // math.gcd(
+            denoms, c.re.denominator * c.im.denominator
+        )
+    lead = poly.leading() * denoms
+    low = poly.coeff(0) * denoms
+    lead_int = math.gcd(int(lead.re), int(lead.im))
+    low_int = math.gcd(int(low.re), int(low.im))
+    for p in _divisors(low_int):
+        for q in _divisors(lead_int):
+            for cand in (Fraction(p, q), Fraction(-p, q)):
+                if cand in roots:
+                    continue
+                if poly.eval_exact(GaussianRational(cand)).is_zero:
+                    roots.append(cand)
+    return sorted(roots)
+
+
+# planted linear factors q t - p, with p and q not necessarily coprime and
+# p = 0 allowed, so zero roots come with multiplicity
+_planted = st.tuples(st.integers(min_value=-4, max_value=4),
+                     st.integers(min_value=1, max_value=4),
+                     st.integers(min_value=1, max_value=2))
+_small_fractions = st.fractions(min_value=-3, max_value=3, max_denominator=6)
+_nonzero_fractions = _small_fractions.filter(lambda x: x != 0)
+_leads = st.one_of(
+    st.builds(GaussianRational, _nonzero_fractions),                  # real
+    st.builds(GaussianRational, st.just(0), _nonzero_fractions),      # imaginary
+    st.builds(GaussianRational, _nonzero_fractions, _nonzero_fractions),
+)
+
+
+@st.composite
+def _planted_products(draw):
+    roots = draw(st.lists(_planted, max_size=3))
+    lower = draw(st.lists(_gaussian_rationals, max_size=3))
+    if draw(st.booleans()) and roots:
+        roots.append(roots[0])  # a repeated root
+    cofactor = RationalPoly(lower + [draw(_leads)])
+    poly = cofactor
+    for p, q, g in roots:
+        poly = poly * RationalPoly([-p * g, q * g])
+    return poly, {Fraction(p, q) for p, q, _ in roots}
+
+
+@settings(max_examples=40, deadline=None)
+@given(_planted_products())
+def test_rational_roots_match_trial_division_oracle(case):
+    poly, planted = case
+    assert poly.degree <= 7
+    roots = rational_roots(poly)
+    assert roots == trial_division_rational_roots(poly)
+    assert planted <= set(roots)
+    assert roots == sorted(set(roots))
+
+
+def test_rational_roots_with_a_purely_imaginary_leading_coefficient():
+    t = RationalPoly.variable()
+    i = RationalPoly.constant(GaussianRational(0, 1))
+    p = i * (t.scale(6) - 4) * (t + 3) * t * t
+    assert rational_roots(p) == [-3, 0, Fraction(2, 3)]
+    assert rational_roots(p) == trial_division_rational_roots(p)
+    # a root of the real part only is not a root
+    q = (t - 1) + i * (t - 2)
+    assert rational_roots(q) == []
 
 
 def test_bivariate_shift_and_substitute():

@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from rigidity import data, symdom
 from rigidity.exactpoly import BivariatePolynomial, GaussianRational, RationalPoly
@@ -167,16 +169,34 @@ def test_charpoly_numeric_agreement_with_singular_values():
         assert np.allclose(roots, svals, atol=1e-10)
 
 
-def full_power_charpoly(path):
-    """Newton's identities on the traces of every full power G, ..., G^m of
-    the Gram matrix: the reference for charpoly_path, which pairs the last
-    power's trace off from G^(m-1) and G."""
-    gram = symdom._gram_entries(path)
-    m = len(gram)
-    powers = [gram]
-    for _ in range(m - 1):
-        powers.append(symdom._poly_mat_mul(powers[-1], gram))
-    traces = [sum((p[i][i] for i in range(m)), RationalPoly.zero()) for p in powers]
+def _gram_entries(path):
+    """Exact entries of V(t)* V(t); conjugating coefficients realizes the
+    adjoint for real t."""
+    g = []
+    for i in range(path.cols):
+        row = []
+        for j in range(path.cols):
+            acc = RationalPoly.zero()
+            for r in range(path.rows):
+                acc = acc + path.entries[r][i].conjugate() * path.entries[r][j]
+            row.append(acc)
+        g.append(row)
+    return g
+
+
+def _poly_mat_mul(a, b):
+    n = len(a)
+    return [
+        [sum((a[i][k] * b[k][j] for k in range(n)), RationalPoly.zero())
+         for j in range(n)]
+        for i in range(n)
+    ]
+
+
+def _newton_charpoly(traces):
+    """det(y I - G) from the power traces tr G, ..., tr G^m by Newton's
+    identities over the Gaussian rationals."""
+    m = len(traces)
     elem = [RationalPoly.one()]
     for k in range(1, m + 1):
         acc = RationalPoly.zero()
@@ -186,6 +206,35 @@ def full_power_charpoly(path):
         elem.append(acc.scale(Fraction(1, k)))
     return BivariatePolynomial([elem[m - k] if (m - k) % 2 == 0 else -elem[m - k]
                                 for k in range(m + 1)])
+
+
+def fraction_charpoly(path):
+    """The Fraction reference for charpoly_path: Newton's identities on the
+    power traces of the Gram matrix, the last trace paired off from G^(m-1)
+    and G, every product over Fraction-based Gaussian rationals."""
+    gram = _gram_entries(path)
+    m = len(gram)
+    powers = [gram]
+    for _ in range(m - 2):
+        powers.append(_poly_mat_mul(powers[-1], gram))
+    traces = [sum((p[i][i] for i in range(m)), RationalPoly.zero()) for p in powers]
+    if m > 1:
+        traces.append(sum((powers[-1][i][j] * gram[j][i]
+                           for i in range(m) for j in range(m)), RationalPoly.zero()))
+    return _newton_charpoly(traces)
+
+
+def full_power_charpoly(path):
+    """Newton's identities on the traces of every full power G, ..., G^m of
+    the Gram matrix: the reference for charpoly_path, which pairs the last
+    power's trace off from G^(m-1) and G."""
+    gram = _gram_entries(path)
+    m = len(gram)
+    powers = [gram]
+    for _ in range(m - 1):
+        powers.append(_poly_mat_mul(powers[-1], gram))
+    traces = [sum((p[i][i] for i in range(m)), RationalPoly.zero()) for p in powers]
+    return _newton_charpoly(traces)
 
 
 def test_charpoly_equals_full_power_traces():
@@ -200,6 +249,50 @@ def test_charpoly_equals_full_power_traces():
         paths.append(PolynomialMatrixPath(entries))
     for path in paths:
         assert charpoly_path(path) == full_power_charpoly(path)
+
+
+# |coefficient| <= 1/8 keeps every path with at most 5 rows and 5 columns
+# inside the ball at t = 0: its Frobenius norm is below sqrt(50 / 64)
+_small = st.fractions(min_value=Fraction(-1, 8), max_value=Fraction(1, 8),
+                      max_denominator=64)
+_real_entries = st.builds(GaussianRational, _small)
+_gaussian_entries = st.builds(GaussianRational, _small, _small)
+
+
+@st.composite
+def _small_paths(draw):
+    rows = draw(st.integers(min_value=1, max_value=5))
+    cols = draw(st.integers(min_value=1, max_value=5))
+    scalars = draw(st.sampled_from([_real_entries, _gaussian_entries]))
+    entry = st.one_of(st.just(RationalPoly.zero()),
+                      st.lists(scalars, max_size=3).map(RationalPoly))
+    entries = draw(st.lists(st.lists(entry, min_size=cols, max_size=cols),
+                            min_size=rows, max_size=rows))
+    if draw(st.booleans()):
+        zero_col = draw(st.integers(min_value=0, max_value=cols - 1))
+        for row in entries:
+            row[zero_col] = RationalPoly.zero()
+    return PolynomialMatrixPath(entries)
+
+
+def _dense_path(size, seed):
+    """size x size path of degree 2 with Gaussian entries of denominators 20-40."""
+    rnd = random.Random(seed)
+    return PolynomialMatrixPath([
+        [RationalPoly([GaussianRational(Fraction(rnd.randint(-2, 2), rnd.randint(20, 40)),
+                                        Fraction(rnd.randint(-2, 2), rnd.randint(20, 40)))
+                       for _ in range(3)])
+         for _ in range(size)] for _ in range(size)])
+
+
+@settings(max_examples=40, deadline=None)
+@given(_small_paths())
+@example(_dense_path(5, 7))
+def test_charpoly_matches_fraction_oracle(path):
+    P = charpoly_path(path)
+    assert P == fraction_charpoly(path)
+    assert P.degree_y == path.cols and P.is_monic
+    assert all(c.im == 0 for poly in P.coeffs for c in poly.coeffs)
 
 
 def test_path_membership_checked_at_zero():
