@@ -66,8 +66,6 @@ def _parse_direction(text):
 
 
 def cmd_intersection(args):
-    if args.samples < 1:
-        raise ValueError("need at least one sample")
     if args.tolerance <= 0:
         raise ValueError("tolerance must be positive")
     origami = flatsurf.load_origami(args.origami)
@@ -75,22 +73,20 @@ def cmd_intersection(args):
     multicurve = flatsurf.FlatMulticurve.from_cylinders(
         flatsurf.cylinder_decomposition(origami, direction)
     )
-    samples = args.samples
-    thetas = [2 * math.pi * j / samples for j in range(samples)]
-    values = [flatsurf.intersection_profile(multicurve, th) for th in thetas]
+    # unlike profile_nonconstancy, any grid of >= 1 angles is taken, and a
+    # flat sampled profile is reported, not raised
+    thetas, values, ext = flatsurf.sample_profile(multicurve, args.samples)
 
     lines = ["theta,value"]
     lines += [f"{th:.15g},{val:.15g}" for th, val in zip(thetas, values)]
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 
-    vmax, vmin = max(values), min(values)
-    witness = thetas[max(range(samples), key=lambda j: abs(values[j] - values[0]))]
     summary = {
-        "max": _round15(vmax),
-        "min": _round15(vmin),
-        "witness_theta": _round15(witness),
-        "constant_half_refuted": bool(vmax - vmin > args.tolerance),
+        "max": _round15(ext.max),
+        "min": _round15(ext.min),
+        "witness_theta": _round15(ext.witness_theta),
+        "constant_half_refuted": bool(ext.max - ext.min > args.tolerance),
     }
     if args.length_bound is not None:
         summary["saddle_connection_count"] = flatsurf.saddle_connection_count(
@@ -154,7 +150,9 @@ def build_parser():
 
     p_int = sub.add_parser("intersection", help="rotation profile of a multicurve")
     p_int.add_argument("--origami", required=True, help="origami JSON file")
-    p_int.add_argument("--samples", type=int, default=360, help="angle grid size")
+    p_int.add_argument("--samples", type=int, default=360,
+                       help="angle grid size, at least 1; a flat sampled "
+                            "profile is reported, not an error")
     p_int.add_argument("--tolerance", type=float, default=1e-9)
     p_int.add_argument("--direction", default="1,0",
                        help="cylinder direction for the multicurve, as 'p,q'")

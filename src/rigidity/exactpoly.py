@@ -3,10 +3,12 @@
 The eigenvalue-branch analysis in :mod:`rigidity.symdom` manipulates
 characteristic polynomials P(t, y) whose coefficients must stay exact while
 Newton polygons, shifts and Puiseux substitutions are applied.  Scalars here
-are complex numbers with rational real and imaginary parts, univariate
-polynomials are coefficient tuples over those scalars (ascending powers), and
-bivariate polynomials are stored as one coefficient polynomial in t per power
-of y.
+are complex numbers with rational real and imaginary parts
+(GaussianRational); inputs are read and single coefficients are shown in
+that form.  A univariate polynomial is one tuple of Gaussian-integer
+numerators, ascending, over one positive common denominator, in lowest
+terms, and all of its arithmetic runs on integers.  Bivariate polynomials
+are stored as one such polynomial in t per power of y.
 """
 
 import math
@@ -127,35 +129,56 @@ class GaussianRational:
 
 
 _ZERO = GaussianRational(0)
-_ONE = GaussianRational(1)
 
 
 class RationalPoly:
-    """Univariate polynomial over GaussianRational, coefficients ascending."""
+    """Univariate polynomial with Gaussian-rational coefficients.
 
-    __slots__ = ("coeffs",)
+    Stored as ``num``, a tuple of (re, im) int pairs in ascending powers with
+    no trailing (0, 0), over ``den``, one positive int, in lowest terms:
+    gcd(den, every re and im) == 1, and the zero polynomial is ((), 1).  So
+    equal polynomials have equal fields.  All arithmetic runs on the
+    Gaussian-integer kernel below; ``coeffs``, ``coeff`` and ``leading``
+    are GaussianRational views.
+    """
+
+    __slots__ = ("num", "den")
 
     def __init__(self, coeffs=()):
         cs = [GaussianRational.ensure(c) for c in coeffs]
         while cs and cs[-1].is_zero:
             cs.pop()
-        self.coeffs = tuple(cs)
+        # a prime power dividing the lcm exactly divides some denominator,
+        # whose numerator it does not divide: the result is in lowest terms
+        den = math.lcm(*(x.denominator for c in cs for x in (c.re, c.im)))
+        self.num = tuple((c.re.numerator * (den // c.re.denominator),
+                          c.im.numerator * (den // c.im.denominator)) for c in cs)
+        self.den = den
+
+    @classmethod
+    def _make(cls, num, den):
+        """num / den in lowest terms, for trimmed (re, im) pairs and den > 0."""
+        g = math.gcd(den, *(x for pair in num for x in pair))
+        self = object.__new__(cls)
+        self.num = tuple(num) if g == 1 else tuple((re // g, im // g) for re, im in num)
+        self.den = den // g
+        return self
 
     @classmethod
     def constant(cls, c):
-        return cls((GaussianRational.ensure(c),))
+        return cls((c,))
 
     @classmethod
     def zero(cls):
-        return cls(())
+        return cls._make((), 1)
 
     @classmethod
     def one(cls):
-        return cls((_ONE,))
+        return cls._make(((1, 0),), 1)
 
     @classmethod
     def variable(cls):
-        return cls((_ZERO, _ONE))
+        return cls._make(((0, 0), (1, 0)), 1)
 
     @classmethod
     def from_json(cls, pairs):
@@ -165,62 +188,54 @@ class RationalPoly:
 
     @property
     def is_zero(self):
-        return not self.coeffs
+        return not self.num
 
     @property
     def degree(self):
         """Degree, with the zero polynomial reported as -1."""
-        return len(self.coeffs) - 1
+        return len(self.num) - 1
 
     @property
     def valuation(self):
         """Lowest exponent with a nonzero coefficient; None for zero."""
-        for k, c in enumerate(self.coeffs):
-            if not c.is_zero:
-                return k
-        return None
+        return next((k for k, c in enumerate(self.num) if c != (0, 0)), None)
+
+    def _scalar(self, pair):
+        return GaussianRational(Fraction(pair[0], self.den), Fraction(pair[1], self.den))
+
+    @property
+    def coeffs(self):
+        """Ascending coefficients as GaussianRationals."""
+        return tuple(self._scalar(c) for c in self.num)
 
     def coeff(self, k):
-        if 0 <= k < len(self.coeffs):
-            return self.coeffs[k]
+        if 0 <= k < len(self.num):
+            return self._scalar(self.num[k])
         return _ZERO
 
     def leading(self):
         if self.is_zero:
             raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return self._scalar(self.num[-1])
 
     def __add__(self, other):
-        other = self._ensure(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        return RationalPoly([self.coeff(k) + other.coeff(k) for k in range(n)])
+        (a, b), den = _common((self, self._ensure(other)))
+        return RationalPoly._make(_gi_dot(((a, _UNIT), (b, _UNIT))), den)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = self._ensure(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        return RationalPoly([self.coeff(k) - other.coeff(k) for k in range(n)])
+        return self + -self._ensure(other)
 
     def __rsub__(self, other):
         return self._ensure(other) - self
 
     def __neg__(self):
-        return RationalPoly([-c for c in self.coeffs])
+        return RationalPoly._make([(-re, -im) for re, im in self.num], self.den)
 
     def __mul__(self, other):
         other = self._ensure(other)
-        if self.is_zero or other.is_zero:
-            return RationalPoly.zero()
-        out = [_ZERO] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a.is_zero:
-                continue
-            for j, b in enumerate(other.coeffs):
-                if b.is_zero:
-                    continue
-                out[i + j] = out[i + j] + a * b
-        return RationalPoly(out)
+        return RationalPoly._make(_gi_dot(((self.num, other.num),)), self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -228,46 +243,39 @@ class RationalPoly:
     def _ensure(x):
         if isinstance(x, RationalPoly):
             return x
+        if isinstance(x, int):
+            return RationalPoly._make(((x, 0),) if x else (), 1)
         return RationalPoly.constant(x)
 
     def scale(self, c):
-        c = GaussianRational.ensure(c)
-        return RationalPoly([a * c for a in self.coeffs])
+        return self * RationalPoly.constant(c)
 
     def conjugate(self):
         """Coefficient-wise conjugation (adjoint of the values at real t)."""
-        return RationalPoly([c.conjugate() for c in self.coeffs])
-
-    def shift_up(self, k):
-        """Multiply by t**k."""
-        if self.is_zero:
-            return self
-        return RationalPoly((_ZERO,) * k + self.coeffs)
+        return RationalPoly._make([(re, -im) for re, im in self.num], self.den)
 
     def shift_down(self, k):
         """Exact division by t**k; requires valuation >= k."""
-        if self.is_zero:
-            return self
-        if any(not c.is_zero for c in self.coeffs[:k]):
+        if any(c != (0, 0) for c in self.num[:k]):
             raise ValueError(f"polynomial is not divisible by t**{k}")
-        return RationalPoly(self.coeffs[k:])
+        return RationalPoly._make(self.num[k:], self.den)
 
     def inflate(self, q):
         """Substitute t -> t**q."""
         if q == 1 or self.is_zero:
             return self
-        out = [_ZERO] * (q * self.degree + 1)
-        for k, c in enumerate(self.coeffs):
-            out[q * k] = c
-        return RationalPoly(out)
+        out = [(0, 0)] * (q * self.degree + 1)
+        out[::q] = self.num
+        return RationalPoly._make(out, self.den)
 
     def derivative(self):
-        return RationalPoly([k * c for k, c in enumerate(self.coeffs)][1:])
+        return RationalPoly._make(
+            [(k * re, k * im) for k, (re, im) in enumerate(self.num)][1:], self.den)
 
     def eval_complex(self, z):
         out = 0j
-        for c in reversed(self.coeffs):
-            out = out * z + complex(c)
+        for c in reversed(self.complex_coeffs()):
+            out = out * z + c
         return out
 
     def eval_exact(self, x):
@@ -278,34 +286,38 @@ class RationalPoly:
         return out
 
     def complex_coeffs(self):
-        """Ascending coefficients converted to complex floats."""
-        return [complex(c) for c in self.coeffs]
+        """Ascending coefficients as complex floats, each part correctly
+        rounded (int / int true division), as complex(GaussianRational) is."""
+        return [complex(re / self.den, im / self.den) for re, im in self.num]
 
     def monic(self):
+        """self / lead = num conj(L) / |L|**2 for the leading numerator L."""
         if self.is_zero:
             raise ValueError("cannot normalize the zero polynomial")
-        lead = self.leading()
-        return RationalPoly([c / lead for c in self.coeffs])
+        lr, li = self.num[-1]
+        return RationalPoly._make(_gi_dot(((self.num, [(lr, -li)]),)), lr * lr + li * li)
 
     def divmod(self, other):
+        """Quotient and remainder over the Gaussian rationals.
+
+        With L the leading numerator of other and k = deg self - deg other
+        + 1, |L|**(2k) self.num is pseudo-divided by other.num conj(L),
+        whose leading coefficient is the integer |L|**2, so every
+        coefficient quotient is a Gaussian integer.
+        """
         other = self._ensure(other)
         if other.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        deg_d = other.degree
-        lead = other.leading()
-        if len(rem) - 1 < deg_d:
-            return RationalPoly.zero(), RationalPoly(rem)
-        quot = [_ZERO] * (len(rem) - deg_d)
-        for k in range(len(rem) - 1, deg_d - 1, -1):
-            c = rem[k]
-            if c.is_zero:
-                continue
-            f = c / lead
-            quot[k - deg_d] = f
-            for j in range(deg_d + 1):
-                rem[k - deg_d + j] = rem[k - deg_d + j] - f * other.coeffs[j]
-        return RationalPoly(quot), RationalPoly(rem)
+        k = len(self.num) - len(other.num) + 1
+        if k <= 0:
+            return RationalPoly.zero(), self
+        lr, li = other.num[-1]
+        scale = (lr * lr + li * li) ** k
+        quot, rem = _gi_divmod([(re * scale, im * scale) for re, im in self.num],
+                               _gi_dot(((other.num, [(lr, -li)]),)))
+        den = self.den * scale
+        quot = _gi_dot(((quot, [(lr * other.den, -li * other.den)]),))
+        return RationalPoly._make(quot, den), RationalPoly._make(rem, den)
 
     def gcd(self, other):
         """Monic greatest common divisor over the Gaussian rationals."""
@@ -330,11 +342,11 @@ class RationalPoly:
 
     def __eq__(self, other):
         if isinstance(other, RationalPoly):
-            return self.coeffs == other.coeffs
+            return self.num == other.num and self.den == other.den
         return NotImplemented
 
     def __hash__(self):
-        return hash(self.coeffs)
+        return hash((self.num, self.den))
 
     def __repr__(self):
         if self.is_zero:
@@ -416,30 +428,25 @@ def _homogeneous_value(coeffs, p, q_powers):
 def rational_roots(poly):
     """All rational roots of a RationalPoly, found exactly.
 
-    Zero roots are split off by the valuation.  The other coefficients are
-    cleared of denominators once, into integer real and imaginary parts
-    a_k = re_k + i im_k.  A root p/q in lowest terms has p dividing
-    g_0 = gcd(re_0, im_0) and q dividing g_d = gcd(re_d, im_d) (rational
-    root theorem), and is a root exactly when sum_k a_k p**k q**(d-k)
-    vanishes, which integer Horner steps check on the real part and then
-    the imaginary part.  Candidates with gcd(p, q) > 1 are skipped, since
-    their reduced form is a candidate too.  The cost is O(d) big-integer
-    products for each of at most 2 tau(g_0) tau(g_d) candidates (tau counts
-    divisors), plus the trial division that lists the divisors.
+    Zero roots are split off by the valuation.  The roots are those of the
+    numerator, whose coefficients a_k = re_k + i im_k are Gaussian integers.
+    A root p/q in lowest terms has p dividing g_0 = gcd(re_0, im_0) and q
+    dividing g_d = gcd(re_d, im_d) (rational root theorem), and is a root
+    exactly when sum_k a_k p**k q**(d-k) vanishes, which integer Horner
+    steps check on the real part and then the imaginary part.  Candidates
+    with gcd(p, q) > 1 are skipped, since their reduced form is a candidate
+    too.  The cost is O(d) big-integer products for each of at most
+    2 tau(g_0) tau(g_d) candidates (tau counts divisors), plus the trial
+    division that lists the divisors.
     """
     if poly.is_zero:
         raise ValueError("every rational is a root of the zero polynomial")
     val = poly.valuation
-    roots = []
-    if val > 0:
-        roots.append(Fraction(0))
-        poly = poly.shift_down(val)
-    if poly.degree == 0:
+    roots = [Fraction(0)] if val > 0 else []
+    re, im = zip(*poly.num[val:])
+    degree = len(re) - 1
+    if degree == 0:
         return roots
-    denom = _common_denominator([poly])
-    re = [int(c.re * denom) for c in poly.coeffs]
-    im = [int(c.im * denom) for c in poly.coeffs]
-    degree = poly.degree
     for q in _divisors(math.gcd(re[-1], im[-1])):
         q_powers = [q**j for j in range(degree + 1)]
         for p in _divisors(math.gcd(re[0], im[0])):
@@ -457,7 +464,7 @@ class BivariatePolynomial:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs):
-        cs = [c if isinstance(c, RationalPoly) else RationalPoly._ensure(c) for c in coeffs]
+        cs = [RationalPoly._ensure(c) for c in coeffs]
         while cs and cs[-1].is_zero:
             cs.pop()
         if not cs:
@@ -476,12 +483,12 @@ class BivariatePolynomial:
 
     @property
     def is_monic(self):
-        top = self.coeffs[-1]
-        return top.degree == 0 and top.coeff(0) == _ONE
+        return self.coeffs[-1] == RationalPoly.one()
 
     def at_t_zero(self):
         """The univariate polynomial y -> P(0, y)."""
-        return RationalPoly([c.coeff(0) for c in self.coeffs])
+        nums, den = _common(self.coeffs)
+        return RationalPoly._make(_gi_trim([n[0] if n else (0, 0) for n in nums]), den)
 
     def dy(self):
         """Partial derivative with respect to y; requires degree >= 1."""
@@ -493,60 +500,46 @@ class BivariatePolynomial:
         """Ascending complex coefficients of y -> P(t, y) at a numeric t."""
         return [c.eval_complex(t) for c in self.coeffs]
 
-    def shift_y(self, a):
-        """P(t, a + y) by Horner expansion in y."""
-        a = GaussianRational.ensure(a)
-        a_poly = RationalPoly.constant(a)
-        # Horner in y: result starts at the top coefficient and is re-expanded.
+    def _substituted(self, q, p, c):
+        """The y-coefficients of P(t**q, t**p (c + y)) for an exact scalar c,
+        by the binomial theorem."""
+        c = RationalPoly.constant(c)
         out = [RationalPoly.zero()] * (self.degree_y + 1)
-        for c in reversed(self.coeffs):
-            carry = RationalPoly.zero()
-            for k in range(len(out)):
-                prev = out[k]
-                out[k] = carry + (prev * a_poly if not prev.is_zero else RationalPoly.zero())
-                carry = prev
-            # out <- out * (a + y), then add c to the constant term
-            out[0] = out[0] + c
-        return BivariatePolynomial(out)
+        for k, ck in enumerate(self.coeffs):
+            term = ck.inflate(q) * RationalPoly.variable() ** (p * k)
+            for j in range(k, -1, -1):
+                out[j] = out[j] + term * math.comb(k, j)
+                term = term * c
+        return out
+
+    def shift_y(self, a):
+        """P(t, a + y)."""
+        return BivariatePolynomial(self._substituted(1, 0, a))
 
     def substitute_puiseux(self, q, p, c):
         """Return P(tau**q, tau**p * (c + y)) / tau**N with N the minimal valuation.
 
         This is one resolution step of the Newton-Puiseux iteration; c must be
-        exact (GaussianRational).
+        exact (an int, Fraction, str or GaussianRational).
         """
-        c = GaussianRational.ensure(c)
-        new = [RationalPoly.zero()] * (self.degree_y + 1)
-        for k, ck in enumerate(self.coeffs):
-            if ck.is_zero:
-                continue
-            base = ck.inflate(q).shift_up(p * k)
-            # (c + y)**k = sum_j binom(k, j) c**(k-j) y**j
-            binom = 1
-            for j in range(k + 1):
-                if j > 0:
-                    binom = binom * (k - j + 1) // j
-                w = GaussianRational(binom) * c ** (k - j)
-                if not w.is_zero:
-                    new[j] = new[j] + base.scale(w)
+        new = self._substituted(q, p, c)
         vals = [poly.valuation for poly in new if not poly.is_zero]
         if not vals:
             raise ValueError("substitution produced the zero polynomial")
         shift = min(vals)
-        return BivariatePolynomial([
-            poly if poly.is_zero else poly.shift_down(shift) for poly in new
-        ])
+        return BivariatePolynomial([poly.shift_down(shift) for poly in new])
 
     def discriminant(self):
         """Resultant of P and dP/dy with respect to y, as a polynomial in t.
 
         Vanishes identically exactly when P has a repeated factor in y.  The
-        (2m - 1)-square Sylvester matrix (m = degree in y) is cleared of
-        denominators and reduced by fraction-free Bareiss elimination over
-        Gaussian-integer polynomials in t, with every division checked to be
-        exact.  That takes O(m**3) products and exact divisions of
-        polynomials whose degree in t and coefficient size grow linearly with
-        the elimination step, so the cost is polynomial in the input size.
+        (2m - 1)-square Sylvester matrix (m = degree in y) of the numerators
+        over one common denominator is reduced by fraction-free Bareiss
+        elimination over Gaussian-integer polynomials in t, with every
+        division checked to be exact.  That takes O(m**3) products and exact
+        divisions of polynomials whose degree in t and coefficient size grow
+        linearly with the elimination step, so the cost is polynomial in the
+        input size.
         """
         if self.degree_y < 1:
             raise ValueError("discriminant needs degree >= 1 in y")
@@ -567,10 +560,12 @@ class BivariatePolynomial:
         return "BivariatePolynomial(" + " + ".join(parts) + ")"
 
 
-# Gaussian-integer polynomials for the resultant kernel: ascending lists of
+# The Gaussian-integer kernel: polynomials as ascending sequences of
 # (re, im) int pairs without trailing zeros, so [] is the zero polynomial.
 # Functions here never mutate their arguments, which lets Sylvester rows
 # share coefficient lists.
+
+_UNIT = ((1, 0),)
 
 
 def _gi_trim(cs):
@@ -598,17 +593,17 @@ def _gi_dot(pairs):
     return _gi_trim(list(zip(re, im)))
 
 
-def _gi_exact_div(a, b):
-    """Quotient a / b of Gaussian-integer polynomials that must divide exactly.
+def _gi_divmod(a, b):
+    """Quotient and remainder of Gaussian-integer polynomials: a = q b + r
+    with deg r < deg b.
 
     Raises ArithmeticError when a coefficient quotient is not a Gaussian
-    integer or a nonzero remainder is left.
+    integer.  Scaling a by lead(b)**(deg a - deg b + 1) first makes every
+    one exact (pseudo-division).
     """
     deg_b = len(b) - 1
     if len(a) <= deg_b:
-        if a:
-            raise ArithmeticError("inexact polynomial division: degree too low")
-        return []
+        return [], list(a)
     lr, li = b[-1]
     norm = lr * lr + li * li
     rem = list(a)
@@ -629,7 +624,14 @@ def _gi_exact_div(a, b):
         for j, (br, bi) in enumerate(b):
             rr, ri = rem[k - deg_b + j]
             rem[k - deg_b + j] = (rr - qr * br + qi * bi, ri - qr * bi - qi * br)
-    if any(r != (0, 0) for r in rem[:deg_b]):
+    return quot, _gi_trim(rem[:deg_b])
+
+
+def _gi_exact_div(a, b):
+    """Quotient a / b of Gaussian-integer polynomials that must divide exactly;
+    raises ArithmeticError otherwise."""
+    quot, rem = _gi_divmod(a, b)
+    if rem:
         raise ArithmeticError("inexact polynomial division: nonzero remainder")
     return quot
 
@@ -665,82 +667,67 @@ def _bareiss_det(rows):
     return det if sign > 0 else [(-re, -im) for re, im in det]
 
 
-def _common_denominator(polys):
-    """lcm of the denominators of every coefficient of the given polynomials."""
-    return math.lcm(*(d for poly in polys for c in poly.coeffs
-                      for d in (c.re.denominator, c.im.denominator)))
-
-
-def _gaussian_int_poly(poly, denom):
-    """Coefficients of denom * poly as (re, im) int pairs; denom clears them."""
-    return [(int(c.re * denom), int(c.im * denom)) for c in poly.coeffs]
-
-
-def _rational_poly(cs, scale):
-    """The RationalPoly with Gaussian-integer coefficients cs divided by scale."""
-    return RationalPoly([
-        GaussianRational(Fraction(re, scale), Fraction(im, scale)) for re, im in cs
-    ])
+def _common(polys):
+    """Numerators of the given RationalPolys over their least common
+    denominator, and that denominator."""
+    den = math.lcm(*(p.den for p in polys))
+    return [[(re * (den // p.den), im * (den // p.den)) for re, im in p.num]
+            for p in polys], den
 
 
 def _resultant_y(P, Q):
-    """Sylvester resultant of two bivariate polynomials, eliminating y.
+    """Sylvester resultant of two bivariate polynomials of degree >= 1 in y,
+    eliminating y.
 
-    The Sylvester matrix is scaled by the common denominator D of all
-    coefficients, its determinant is taken over the Gaussian integers by
-    _bareiss_det, and the result is divided by D**(m + n) at the end.
+    Over the common denominator D of all coefficients, the Sylvester matrix
+    of the numerators is D times that of P and Q, so its determinant, taken
+    over the Gaussian integers by _bareiss_det, is D**(m + n) times the
+    resultant.
     """
     m, n = P.degree_y, Q.degree_y
-    if m == 0:
-        return P.coeffs[0] ** n if n else RationalPoly.one()
-    if n == 0:
-        return Q.coeffs[0] ** m if m else RationalPoly.one()
-    denom = _common_denominator(P.coeffs + Q.coeffs)
-    pc = [_gaussian_int_poly(c, denom) for c in reversed(P.coeffs)]
-    qc = [_gaussian_int_poly(c, denom) for c in reversed(Q.coeffs)]
+    nums, denom = _common(P.coeffs + Q.coeffs)
+    pc, qc = nums[m::-1], nums[:m:-1]
     size = m + n
     rows = [[[]] * i + pc + [[]] * (size - m - 1 - i) for i in range(n)]
     rows += [[[]] * i + qc + [[]] * (size - n - 1 - i) for i in range(m)]
-    return _rational_poly(_bareiss_det(rows), denom**size)
+    return RationalPoly._make(_bareiss_det(rows), denom**size)
 
 
 def gram_charpoly(entries):
     """det(y I - V* V) for a matrix V of RationalPoly entries in t, exactly.
 
     V* conjugates the coefficients, which is the adjoint of V(t) at real t.
-    The denominators are cleared once: with d the lcm of every coefficient
-    denominator, W = d V has Gaussian-integer polynomial entries and
-    G = W* W = d**2 V* V.  Newton's identities on the power traces of G
-    (tr G**k read off the diagonal of G**k for k < m, and tr G**m as
-    sum_ij (G**(m-1))_ij G_ji, which needs no m-th power) give the
-    coefficients c_k of y**(m-k) in det(y I - G) through
-    k c_k = -sum_i c_(k-i) tr G**i.  Those are Gaussian-integer
-    polynomials, so each division by k is exact and is checked by
-    _gi_exact_div.  Scaling y by d**2 turns them into the coefficients of
-    V* V: c_k is divided by d**(2k) once, on the way out.  The result is
-    monic in y of degree m, the number of columns, and its coefficients are
-    real polynomials, since V* V is Hermitian at real t.  The cost is m - 2
+    With d the common denominator of all entries, W = d V is the matrix of
+    their Gaussian-integer numerators over d, and G = W* W = d**2 V* V.
+    Newton's identities on the power traces of G (tr G**k read off the
+    diagonal of G**k for k < m, and tr G**m as sum_ij (G**(m-1))_ij G_ji,
+    which needs no m-th power) give the coefficients c_k of y**(m-k) in
+    det(y I - G) through k c_k = -sum_i c_(k-i) tr G**i.  Those are
+    Gaussian-integer polynomials, so each division by k is exact and is
+    checked by _gi_exact_div.  Scaling y by d**2 turns them into the
+    coefficients of V* V: c_k is over d**(2k).  The result is monic in y of
+    degree m, the number of columns, and its coefficients are real
+    polynomials, since V* V is Hermitian at real t.  The cost is m - 2
     products of m x m polynomial matrices, all over the integers.
     """
-    denom = _common_denominator([e for row in entries for e in row])
-    w = [[_gaussian_int_poly(e, denom) for e in row] for row in entries]
-    m = len(w[0])
+    m = len(entries[0])
+    nums, denom = _common([e for row in entries for e in row])
+    w = [nums[i:i + m] for i in range(0, len(nums), m)]
     gram = [[_gi_dot(([(re, -im) for re, im in row[i]], row[j]) for row in w)
              for j in range(m)] for i in range(m)]
-    one = [(1, 0)]
     power = gram
-    traces = [_gi_dot((gram[i][i], one) for i in range(m))]
+    traces = [_gi_dot((gram[i][i], _UNIT) for i in range(m))]
     for _ in range(m - 2):
         power = [[_gi_dot((power[i][k], gram[k][j]) for k in range(m))
                   for j in range(m)] for i in range(m)]
-        traces.append(_gi_dot((power[i][i], one) for i in range(m)))
+        traces.append(_gi_dot((power[i][i], _UNIT) for i in range(m)))
     if m > 1:
         traces.append(_gi_dot((power[i][j], gram[j][i])
                               for i in range(m) for j in range(m)))
-    coeffs = [one]
+    coeffs = [_UNIT]
     for k in range(1, m + 1):
         acc = _gi_dot((coeffs[k - i], traces[i - 1]) for i in range(1, k + 1))
         coeffs.append(_gi_exact_div(acc, [(-k, 0)]))
     return BivariatePolynomial([
-        _rational_poly(coeffs[m - j], denom ** (2 * (m - j))) for j in range(m + 1)
+        RationalPoly._make(coeffs[m - j], denom ** (2 * (m - j))) for j in range(m + 1)
     ])

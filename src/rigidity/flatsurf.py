@@ -49,6 +49,7 @@ __all__ = [
     "cylinder_decomposition",
     "horizontal_multicurve",
     "intersection_profile",
+    "sample_profile",
     "profile_nonconstancy",
     "intersection_q_horizontal",
     "extremal_length_flowed",
@@ -471,26 +472,38 @@ class ProfileExtrema:
     witness_theta: float
 
 
-def profile_nonconstancy(multicurve, samples, tolerance=TOLERANCE):
-    """Extrema of the rotation profile over a uniform angle grid.
+def sample_profile(multicurve, samples):
+    """The rotation profile on the uniform grid theta_j = 2 pi j / samples.
 
-    Returns the grid maximum and minimum together with a witness angle whose
-    value deviates most from the value at theta = 0.  A profile that is flat
-    to within the tolerance raises ConstantProfile; for a nonzero multicurve
-    this only happens when the tolerance swamps the actual variation.
+    Returns the grid angles, the values there and their ProfileExtrema: the
+    grid maximum and minimum and a witness angle whose value deviates most
+    from the value at theta = 0.  Any positive number of samples is taken.
+    """
+    if samples < 1:
+        raise ValueError("need at least one sample")
+    thetas = [2 * math.pi * j / samples for j in range(samples)]
+    values = [intersection_profile(multicurve, th) for th in thetas]
+    witness = thetas[max(range(samples), key=lambda j: abs(values[j] - values[0]))]
+    return thetas, values, ProfileExtrema(max=max(values), min=min(values),
+                                          witness_theta=witness)
+
+
+def profile_nonconstancy(multicurve, samples, tolerance=TOLERANCE):
+    """Extrema of the rotation profile over a uniform grid of at least 8
+    angles (see sample_profile).
+
+    A profile that is flat to within the tolerance raises ConstantProfile;
+    for a nonzero multicurve this only happens when the tolerance swamps the
+    actual variation.
     """
     if samples < 8:
         raise ValueError("need at least 8 samples")
-    thetas = [2 * math.pi * j / samples for j in range(samples)]
-    values = [intersection_profile(multicurve, th) for th in thetas]
-    vmax, vmin = max(values), min(values)
-    if vmax - vmin <= tolerance:
+    ext = sample_profile(multicurve, samples)[2]
+    if ext.max - ext.min <= tolerance:
         raise ConstantProfile(
-            f"profile spread {vmax - vmin:.3e} is within tolerance {tolerance:.3e}"
+            f"profile spread {ext.max - ext.min:.3e} is within tolerance {tolerance:.3e}"
         )
-    base = values[0]
-    witness = thetas[max(range(samples), key=lambda j: abs(values[j] - base))]
-    return ProfileExtrema(max=vmax, min=vmin, witness_theta=witness)
+    return ext
 
 
 def intersection_q_horizontal(origami):

@@ -7,12 +7,13 @@ sup of the two one-dimensional factors.
 
 The second half of the module studies how that distance behaves along a
 polynomial matrix path V(t): the characteristic polynomial
-P(t, y) = det(y I - V(t)* V(t)) is computed with exact Gaussian-rational
-arithmetic, the branch of eigenvalues carrying the top singular value near
-t = 0+ is resolved by the Newton-polygon (Puiseux) iteration, and an
-independent numerical monodromy tracker around a small circle |t| = r
-double-checks the branching index.  ``smoothness_report`` certifies that
-the distance is a smooth function of t**(1/K) by polynomial fitting in the
+P(t, y) = det(y I - V(t)* V(t)) is computed exactly on Gaussian-integer
+numerators over one common denominator (see :mod:`rigidity.exactpoly`),
+the branch of eigenvalues carrying the top singular value near t = 0+ is
+resolved by the Newton-polygon (Puiseux) iteration, and an independent
+numerical monodromy tracker around a small circle |t| = r double-checks
+the branching index.  ``smoothness_report`` certifies that the distance
+is a smooth function of t**(1/K) by polynomial fitting in the
 reparametrized variable.
 
 All objects are immutable and every function is pure; monodromy tracking
@@ -28,7 +29,6 @@ import numpy as np
 
 from .exactpoly import (
     BivariatePolynomial,
-    GaussianRational,
     RationalPoly,
     gram_charpoly,
     rational_nth_root,
@@ -273,7 +273,7 @@ def _exact_top_root_at_zero(poly):
     top_rational = max(exact)
     residual = poly
     for r in exact:
-        factor = RationalPoly([GaussianRational(-r), GaussianRational(1)])
+        factor = RationalPoly([-r, 1])
         while True:
             quot, rem = residual.divmod(factor)
             if residual.degree >= 1 and rem.is_zero:
@@ -401,7 +401,7 @@ def newton_puiseux_index(P):
     if not P.is_monic:
         raise ValueError("P must be monic in its eigenvalue variable")
     lam0 = _exact_top_root_at_zero(zero_at_zero)
-    work = P.shift_y(GaussianRational(lam0))
+    work = P.shift_y(lam0)
 
     K = 1
     denom = 1             # product of the q's applied so far
@@ -427,7 +427,7 @@ def newton_puiseux_index(P):
         exponent_global = offset + Fraction(p, q * denom)
 
         gcd_poly = epoly.monic().gcd(epoly.derivative())
-        scale = max(abs(complex(co)) for co in epoly.coeffs)
+        scale = max(abs(co) for co in epoly.complex_coeffs())
         is_multiple = (
             gcd_poly.degree > 0
             and abs(gcd_poly.eval_complex(z0)) < 1e-6 * max(1.0, scale)
@@ -442,7 +442,7 @@ def newton_puiseux_index(P):
         # multiple root: substitute exactly and refine at the next level
         z_exact = _match_rational_root(gcd_poly, z0)
         c_exact = _exact_branch_coefficient(z_exact, q, c_float)
-        work = work.substitute_puiseux(q, p, GaussianRational(c_exact))
+        work = work.substitute_puiseux(q, p, c_exact)
         K *= q
         denom *= q
         offset += Fraction(p, denom)

@@ -54,6 +54,19 @@ def test_intersection_four_samples_still_refutes(tmp_path, capsys):
     assert all(abs(a - b) < 1e-9 for a, b in zip(values, expected))
 
 
+def test_intersection_grid_rule(tmp_path, capsys):
+    # one sample is a valid grid, and a flat sampled profile is reported, not
+    # raised as ConstantProfile the way profile_nonconstancy does
+    for argv in (["--samples", "1"], ["--samples", "5", "--tolerance", "100"]):
+        code, out, _ = run(capsys, "intersection", "--origami", L3_PATH,
+                           "--out", str(tmp_path / "p.csv"), *argv)
+        assert code == 0
+        assert json.loads(out)["constant_half_refuted"] is False
+    code, out, err = run(capsys, "intersection", "--origami", L3_PATH,
+                         "--samples", "0", "--out", str(tmp_path / "p.csv"))
+    assert code == 1 and out == "" and "at least one sample" in err
+
+
 def test_intersection_torus_single_curve(tmp_path, capsys):
     code, out, _ = run(capsys, "intersection", "--origami", TORUS_PATH,
                        "--samples", "360", "--out", str(tmp_path / "t.csv"))

@@ -222,6 +222,247 @@ def test_rational_roots_with_a_purely_imaginary_leading_coefficient():
     assert rational_roots(q) == []
 
 
+class FractionPoly:
+    """The reference arithmetic: polynomials as one Fraction-based
+    GaussianRational per coefficient, ascending, with schoolbook products
+    and long division over those scalars (RationalPoly's earlier storage)."""
+
+    def __init__(self, coeffs=()):
+        cs = [GaussianRational.ensure(c) for c in coeffs]
+        while cs and cs[-1].is_zero:
+            cs.pop()
+        self.coeffs = tuple(cs)
+
+    @property
+    def is_zero(self):
+        return not self.coeffs
+
+    @property
+    def degree(self):
+        return len(self.coeffs) - 1
+
+    @property
+    def valuation(self):
+        return next((k for k, c in enumerate(self.coeffs) if not c.is_zero), None)
+
+    def coeff(self, k):
+        return self.coeffs[k] if k < len(self.coeffs) else GaussianRational(0)
+
+    def __add__(self, other):
+        n = max(len(self.coeffs), len(other.coeffs))
+        return FractionPoly([self.coeff(k) + other.coeff(k) for k in range(n)])
+
+    def __neg__(self):
+        return FractionPoly([-c for c in self.coeffs])
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __mul__(self, other):
+        if self.is_zero or other.is_zero:
+            return FractionPoly()
+        out = [GaussianRational(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
+        for i, a in enumerate(self.coeffs):
+            for j, b in enumerate(other.coeffs):
+                out[i + j] = out[i + j] + a * b
+        return FractionPoly(out)
+
+    def scale(self, c):
+        return FractionPoly([a * c for a in self.coeffs])
+
+    def shift_up(self, k):
+        return FractionPoly((GaussianRational(0),) * k + self.coeffs)
+
+    def shift_down(self, k):
+        assert all(c.is_zero for c in self.coeffs[:k])
+        return FractionPoly(self.coeffs[k:])
+
+    def inflate(self, q):
+        out = [GaussianRational(0)] * (q * max(self.degree, 0) + 1)
+        for k, c in enumerate(self.coeffs):
+            out[q * k] = c
+        return FractionPoly(out)
+
+    def derivative(self):
+        return FractionPoly([c * k for k, c in enumerate(self.coeffs)][1:])
+
+    def monic(self):
+        lead = self.coeffs[-1]
+        return FractionPoly([c / lead for c in self.coeffs])
+
+    def divmod(self, other):
+        rem = list(self.coeffs)
+        deg_d = other.degree
+        if len(rem) - 1 < deg_d:
+            return FractionPoly(), FractionPoly(rem)
+        quot = [GaussianRational(0)] * (len(rem) - deg_d)
+        for k in range(len(rem) - 1, deg_d - 1, -1):
+            f = rem[k] / other.coeffs[-1]
+            quot[k - deg_d] = f
+            for j in range(deg_d + 1):
+                rem[k - deg_d + j] = rem[k - deg_d + j] - f * other.coeffs[j]
+        return FractionPoly(quot), FractionPoly(rem)
+
+    def gcd(self, other):
+        a, b = self, other
+        while not b.is_zero:
+            a, b = b, a.divmod(b)[1]
+        return a if a.is_zero else a.monic()
+
+
+def oracle_shift_y(cs, a):
+    """P(t, a + y) for y-coefficients cs, by Horner's rule in y."""
+    a = FractionPoly([a])
+    out = [FractionPoly()] * len(cs)
+    for c in reversed(cs):
+        carry = FractionPoly()
+        for k in range(len(out)):
+            carry, out[k] = out[k], carry + out[k] * a
+        out[0] = out[0] + c
+    return out
+
+
+def oracle_substitute_puiseux(cs, q, p, c):
+    """P(tau**q, tau**p (c + y)) / tau**N for y-coefficients cs."""
+    new = [FractionPoly()] * len(cs)
+    for k, ck in enumerate(cs):
+        base = ck.inflate(q).shift_up(p * k)
+        for j in range(k + 1):
+            new[j] = new[j] + base.scale(GaussianRational(math.comb(k, j)) * c ** (k - j))
+    shift = min(poly.valuation for poly in new if not poly.is_zero)
+    return [poly.shift_down(shift) for poly in new]
+
+
+def oracle_discriminant(cs):
+    """Resultant of P and dP/dy: the Sylvester determinant by fraction-free
+    elimination whose divisions are FractionPoly long divisions."""
+    m = len(cs) - 1
+    if m == 1:
+        return FractionPoly([1])
+    pc = list(reversed(cs))
+    qc = list(reversed([c.scale(GaussianRational(k)) for k, c in enumerate(cs)][1:]))
+    size = 2 * m - 1
+    zero = FractionPoly()
+    rows = [[zero] * i + pc + [zero] * (m - 2 - i) for i in range(m - 1)]
+    rows += [[zero] * i + qc + [zero] * (m - 1 - i) for i in range(m)]
+    sign, prev = 1, FractionPoly([1])
+    for k in range(size - 1):
+        if rows[k][k].is_zero:
+            swap = next((i for i in range(k + 1, size) if not rows[i][k].is_zero), None)
+            if swap is None:
+                return zero
+            rows[k], rows[swap], sign = rows[swap], rows[k], -sign
+        for row in rows[k + 1:]:
+            for j in range(k + 1, size):
+                quot, rem = (row[j] * rows[k][k] - row[k] * rows[k][j]).divmod(prev)
+                assert rem.is_zero
+                row[j] = quot
+        prev = rows[k][k]
+    return rows[-1][-1] if sign > 0 else -rows[-1][-1]
+
+
+def assert_canonical(poly):
+    """RationalPoly's storage invariant: trimmed Gaussian-integer numerators
+    over one positive denominator, in lowest terms."""
+    assert isinstance(poly.num, tuple) and type(poly.den) is int and poly.den > 0
+    assert all(type(pair) is tuple and len(pair) == 2 and all(type(x) is int for x in pair)
+               for pair in poly.num)
+    assert not poly.num or poly.num[-1] != (0, 0)
+    assert math.gcd(poly.den, *(x for pair in poly.num for x in pair)) == 1
+
+
+def assert_matches(poly, oracle):
+    assert_canonical(poly)
+    assert poly.coeffs == oracle.coeffs
+
+
+def _polys_with_leads(max_degree):
+    """Nonzero polynomials of degree <= max_degree whose leading coefficient
+    is real, imaginary or both."""
+    return st.builds(lambda lower, lead: RationalPoly(lower + [lead]),
+                     st.lists(_gaussian_rationals, max_size=max_degree), _leads)
+
+
+_univariates = _polys_with_leads(6)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_univariates, st.one_of(_univariates, st.just(RationalPoly.zero())))
+def test_univariate_arithmetic_matches_fraction_oracle(a, b):
+    fa, fb = FractionPoly(a.coeffs), FractionPoly(b.coeffs)
+    for poly in (a, b):
+        assert_canonical(poly)
+        assert RationalPoly(poly.coeffs) == poly
+    assert_matches(a + b, fa + fb)
+    assert_matches(a - b, fa - fb)
+    assert_matches(a * b, fa * fb)
+    assert_matches(a.monic(), fa.monic())
+    assert_matches(a.derivative(), fa.derivative())
+    assert_matches(a.gcd(b), fa.gcd(fb))
+    assert_matches(b.gcd(a), fb.gcd(fa))
+    for num, den, fnum, fden in ((a, b, fa, fb), (b, a, fb, fa), (a * b + a, a, fa * fb + fa, fa)):
+        if not den.is_zero:
+            quot, rem = num.divmod(den)
+            oquot, orem = fnum.divmod(fden)
+            assert_matches(quot, oquot)
+            assert_matches(rem, orem)
+    # equal values built in different ways are equal, with equal hashes
+    for x, y in (((a + b) - b, a), (a * b, b * a), ((a * b).divmod(a)[0], b),
+                 (a.scale(GaussianRational(0, 1)).scale(GaussianRational(0, -1)), a),
+                 (RationalPoly(a.coeffs + (0, 0)), a), (a.monic().monic(), a.monic())):
+        assert x == y and hash(x) == hash(y)
+
+
+_scalars = st.builds(
+    GaussianRational,
+    st.fractions(min_value=-3, max_value=3, max_denominator=5),
+    st.one_of(st.just(0), st.fractions(min_value=-3, max_value=3, max_denominator=5)),
+)
+
+
+@st.composite
+def _bivariates_to_degree_six(draw):
+    degree = draw(st.integers(min_value=1, max_value=6))
+    t_polys = st.lists(_gaussian_rationals, max_size=3).map(RationalPoly)
+    lower = draw(st.lists(t_polys, min_size=degree, max_size=degree))
+    top = draw(st.one_of(st.just(RationalPoly.one()), _polys_with_leads(2)))
+    return BivariatePolynomial(lower + [top])
+
+
+@settings(max_examples=40, deadline=None)
+@given(_bivariates_to_degree_six(), _scalars, st.integers(min_value=1, max_value=3),
+       st.integers(min_value=0, max_value=3))
+def test_bivariate_operations_match_fraction_oracle(P, c, q, p):
+    cs = [FractionPoly(poly.coeffs) for poly in P.coeffs]
+    for got, expected in ((P.shift_y(c), oracle_shift_y(cs, c)),
+                          (P.substitute_puiseux(q, p, c), oracle_substitute_puiseux(cs, q, p, c))):
+        assert len(got.coeffs) == len(expected)
+        for poly, oracle in zip(got.coeffs, expected):
+            assert_matches(poly, oracle)
+    assert_matches(P.discriminant(), oracle_discriminant(cs))
+
+
+def test_complex_views_round_like_the_scalars():
+    # above 2**53 neither part converts to float exactly; float(re) / den
+    # would round twice, which this pair of values exposes
+    re, den = 81764416680803268, 144958205352227900
+    assert float(re) / den != re / den
+    rnd = random.Random(53)
+    cases = [(re, -re - 1, den)] + [
+        (rnd.randrange(-2**80, 2**80), rnd.randrange(-2**80, 2**80), rnd.randrange(2**53, 2**80))
+        for _ in range(50)]
+    for re, im, den in cases:
+        c = GaussianRational(Fraction(re, den), Fraction(im, den))
+        poly = RationalPoly([c, Fraction(1, den), c * c])
+        assert poly.complex_coeffs() == [complex(x) for x in poly.coeffs]
+        assert poly.complex_coeffs()[0] == complex(c)
+        for z in (0.75, -1.3 + 0.4j):
+            expected = 0j
+            for x in reversed(poly.coeffs):
+                expected = expected * z + complex(x)
+            assert poly.eval_complex(z) == expected
+
+
 def test_bivariate_shift_and_substitute():
     # P = y^2 - t
     P = BivariatePolynomial([RationalPoly([0, -1]), RationalPoly.zero(), RationalPoly.one()])
