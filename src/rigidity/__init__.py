@@ -1,43 +1,6 @@
 """Numerical geometry toolkit: square-tiled flat surfaces and their
 intersection profiles, the complex hyperbolic plane with its horocycles,
-and operator-norm matrix balls with exact eigenvalue-branch analysis."""
+and operator-norm matrix balls with exact eigenvalue-branch analysis.
 
-from . import chplane, exactpoly, flatsurf, symdom
-from .chplane import (
-    BallIsometry,
-    BallPoint,
-    BoundaryPoint,
-    GeodesicRay,
-    busemann,
-    distance,
-    horocycle_level,
-    real_geodesic,
-    step2_verify,
-)
-from .exactpoly import BivariatePolynomial, GaussianRational, RationalPoly
-from .flatsurf import (
-    FlatMulticurve,
-    Origami,
-    build_origami,
-    cylinder_decomposition,
-    extremal_length_flowed,
-    horizontal_multicurve,
-    intersection_profile,
-    intersection_q_horizontal,
-    profile_nonconstancy,
-    rotate_differential,
-    saddle_connections,
-)
-from .symdom import (
-    MatrixDomain,
-    MatrixPoint,
-    PolynomialMatrixPath,
-    charpoly_path,
-    kobayashi_distance_origin,
-    monodromy_branch_index,
-    newton_puiseux_index,
-    operator_norm,
-    smoothness_report,
-)
-
-__version__ = "0.1.0"
+The API lives in the submodules ``flatsurf``, ``chplane``, ``symdom`` and
+``exactpoly``; importing the package loads none of them."""

@@ -41,12 +41,9 @@ __all__ = [
     "RealGeodesic",
     "Step2Result",
     "distance",
-    "ray_point",
     "busemann",
     "busemann_limit",
     "horocycle_level",
-    "real_geodesic",
-    "apply_isometry",
     "random_isometry",
     "step2_verify",
 ]
@@ -158,9 +155,6 @@ class BallIsometry:
     def compose(self, other):
         return BallIsometry(self.matrix @ other.matrix)
 
-    def inverse(self):
-        return BallIsometry(np.linalg.inv(self.matrix))
-
     def __call__(self, point):
         vec = self.matrix @ point.homogeneous()
         if abs(vec[2]) < 1e-14:
@@ -172,13 +166,6 @@ class BallIsometry:
 
     def __repr__(self):
         return f"BallIsometry({self.matrix!r})"
-
-
-def apply_isometry(m, p):
-    """Apply a form-preserving matrix to a ball or boundary point."""
-    if not isinstance(m, BallIsometry):
-        m = BallIsometry(m)
-    return m(p)
 
 
 def _expm(a):
@@ -227,10 +214,6 @@ class GeodesicRay:
         time, normalized so that level(point(t)) = e^{t}."""
         xi = self.endpoint
         return horocycle_level(xi, p) / horocycle_level(xi, self.base)
-
-
-def ray_point(ray, t):
-    return ray.point(t)
 
 
 def busemann(xi, p):
@@ -293,11 +276,6 @@ class RealGeodesic:
     def point(self, t):
         vec = (math.exp(t) * self._na + math.exp(-t) * self._mb) / self._norm
         return BallPoint(vec[0] / vec[2], vec[1] / vec[2])
-
-
-def real_geodesic(a, b):
-    """Geodesic asymptotic to a at +inf and to b at -inf."""
-    return RealGeodesic(a, b)
 
 
 def _bisect(f, lo, hi):
@@ -375,7 +353,7 @@ def step2_verify(theta_twist=0.0):
     """
     xi_a = BoundaryPoint(cmath.exp(-1j * theta_twist), 0.0)
     xi_b = BoundaryPoint(0.0, 1.0)
-    delta = real_geodesic(xi_a, xi_b)
+    delta = RealGeodesic(xi_a, xi_b)
     t1 = _level_crossing(xi_a, delta, toward_positive=False)
     t2 = _level_crossing(xi_b, delta, toward_positive=True)
     p1 = delta.point(t1)

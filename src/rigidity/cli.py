@@ -26,15 +26,15 @@ machine-readable reports:
 Exit codes: 0 success, 1 input or domain error, 2 tolerance violation,
 3 oracle disagreement.  Identical configurations produce byte-identical
 output (floats are rounded to 15 significant digits, keys are sorted).
+
+Each subcommand imports only the module it runs, so ``intersection`` and
+``horocycle`` never load ``symdom``, and ``intersection`` never loads numpy.
 """
 
 import argparse
 import json
 import math
 import sys
-
-from . import chplane, flatsurf, symdom
-from .exactpoly import BivariatePolynomial
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -66,6 +66,8 @@ def _parse_direction(text):
 
 
 def cmd_intersection(args):
+    from . import flatsurf
+
     if args.tolerance <= 0:
         raise ValueError("tolerance must be positive")
     origami = flatsurf.load_origami(args.origami)
@@ -77,11 +79,6 @@ def cmd_intersection(args):
     # flat sampled profile is reported, not raised
     thetas, values, ext = flatsurf.sample_profile(multicurve, args.samples)
 
-    lines = ["theta,value"]
-    lines += [f"{th:.15g},{val:.15g}" for th, val in zip(thetas, values)]
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
-
     summary = {
         "max": _round15(ext.max),
         "min": _round15(ext.min),
@@ -91,11 +88,18 @@ def cmd_intersection(args):
     if args.length_bound is not None:
         summary["saddle_connection_count"] = flatsurf.saddle_connection_count(
             origami, args.length_bound)
+
+    lines = ["theta,value"]
+    lines += [f"{th:.15g},{val:.15g}" for th, val in zip(thetas, values)]
+    with open(args.out, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines) + "\n")
     _emit_json(summary)
     return EXIT_OK
 
 
 def cmd_horocycle(args):
+    from . import chplane
+
     result = chplane.step2_verify(theta_twist=args.theta_twist)
     payload = {k: (_round15(v) if isinstance(v, float) else [_round15(x) for x in v])
                for k, v in result.to_json_dict().items()}
@@ -110,6 +114,9 @@ def cmd_horocycle(args):
 
 
 def cmd_smoothness(args):
+    from . import symdom
+    from .exactpoly import BivariatePolynomial
+
     with open(args.path, encoding="utf-8") as fh:
         data = json.load(fh)
     if args.charpoly:

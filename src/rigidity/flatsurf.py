@@ -261,17 +261,19 @@ class SaddleConnection:
 
 
 def _primitive_upper_directions(max_length):
-    """Primitive integer vectors with angle in [0, pi) and length <= bound."""
-    out = []
-    limit = max_length * max_length
-    if 1 <= limit:
-        out.append((1, 0))
+    """Primitive integer vectors with angle in [0, pi) and length <= bound.
+
+    An integer norm p**2 + q**2 is at most max_length**2 exactly when it is
+    at most m = floor(max_length**2), so the search runs on integers only.
+    """
+    if not 0 <= max_length < math.inf:
+        raise ValueError(
+            f"max_length must be finite and non-negative, got {max_length!r}")
+    m = math.floor(max_length * max_length)
+    out = [(1, 0)] if m >= 1 else []
     q = 1
-    while q * q <= limit:
-        p_max = math.isqrt(int(limit - q * q)) if limit >= q * q else -1
-        # float bounds can under-count by one; verify the edge explicitly
-        while (p_max + 1) ** 2 + q * q <= limit:
-            p_max += 1
+    while q * q <= m:
+        p_max = math.isqrt(m - q * q)
         for p in range(-p_max, p_max + 1):
             if math.gcd(abs(p), q) == 1:
                 out.append((p, q))

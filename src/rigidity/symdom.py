@@ -352,34 +352,15 @@ def _real_branch_candidates(edges):
     return out
 
 
-def _term_gt(a, b):
-    """Whether leading term a = (mu_a, c_a) dominates b at small t > 0.
+def _dominance_key(cand):
+    """Sort key of the leading term (mu, c) of a candidate at small t > 0.
 
-    mu = None stands for the exactly-zero branch (value identically 0); a
-    smaller exponent dominates when its coefficient is positive.
+    Positive terms beat negative ones; among positive terms the smaller
+    exponent mu dominates, among negative ones the larger; at equal mu the
+    larger c wins.  Edge roots are nonzero, so c never vanishes.
     """
-    (mu_a, c_a), (mu_b, c_b) = a, b
-    if mu_a is None and mu_b is None:
-        return False
-    if mu_a is None:
-        return c_b < 0
-    if mu_b is None:
-        return c_a > 0
-    if mu_a == mu_b:
-        return c_a > c_b
-    if mu_a < mu_b:
-        return c_a > 0
-    return c_b < 0
-
-
-class _TermKey:
-    """max() adaptor for the leading-term dominance order."""
-
-    def __init__(self, cand):
-        self.term = (cand[0], cand[1])
-
-    def __lt__(self, other):
-        return _term_gt(other.term, self.term)
+    mu, c = cand[0], cand[1]
+    return (1, -mu, c) if c > 0 else (-1, mu, c)
 
 
 def newton_puiseux_index(P):
@@ -413,11 +394,8 @@ def newton_puiseux_index(P):
         has_zero_branch = work.coeffs[0].is_zero
         if not candidates and not has_zero_branch:
             raise PuiseuxError("no real branch tends to the top eigenvalue")
-        chosen = max(candidates, key=_TermKey) if candidates else None
-        if has_zero_branch and chosen is not None:
-            if not _term_gt((chosen[0], chosen[1]), (None, 0.0)):
-                chosen = None
-        if chosen is None:
+        chosen = max(candidates, key=_dominance_key, default=None)
+        if chosen is None or (has_zero_branch and chosen[1] <= 0):
             # the exactly-zero branch dominates: the expansion terminates
             if first_term is None:
                 return PuiseuxBranchReport(K, Fraction(0), 0j, lam0)

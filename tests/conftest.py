@@ -1,6 +1,12 @@
 import random
 
+from hypothesis import settings
+
 from rigidity.flatsurf import NonTransitive, build_origami
+
+# every run draws the same examples: tier-1 time and coverage stay fixed
+settings.register_profile("tier1", derandomize=True, database=None)
+settings.load_profile("tier1")
 
 
 def random_transitive_origami(rnd: random.Random, n_min=2, n_max=8):

@@ -14,15 +14,13 @@ from rigidity.chplane import (
     FormViolation,
     GeodesicRay,
     OutsideBall,
+    RealGeodesic,
     Step2Result,
-    apply_isometry,
     busemann,
     busemann_limit,
     distance,
     horocycle_level,
     random_isometry,
-    ray_point,
-    real_geodesic,
     step2_verify,
 )
 
@@ -88,14 +86,14 @@ def test_outside_ball_rejected():
 
 def test_ray_point_identity_ray():
     ray = GeodesicRay(BallIsometry.identity())
-    assert ray_point(ray, 0.0) == BallPoint(0, 0)
-    p = ray_point(ray, 1.0)
+    assert ray.point(0.0) == BallPoint(0, 0)
+    p = ray.point(1.0)
     assert abs(p.z - math.tanh(1)) < 1e-12 and p.w == 0
 
 
 def test_ray_point_swap_gives_second_axis():
     ray = GeodesicRay(BallIsometry.swap())
-    p = ray_point(ray, 1.0)
+    p = ray.point(1.0)
     assert abs(p.w - math.tanh(1)) < 1e-12 and abs(p.z) < 1e-14
 
 
@@ -109,7 +107,7 @@ def test_ray_is_unit_speed():
 def test_rotation_isometry_action():
     theta = 0.8
     iso = BallIsometry.rotation_z(theta)
-    p = apply_isometry(iso, BallPoint(0.5, 0))
+    p = iso(BallPoint(0.5, 0))
     assert abs(p.z - 0.5 * cmath.exp(-1j * theta)) < 1e-12
     assert p.w == 0
 
@@ -117,7 +115,7 @@ def test_rotation_isometry_action():
 def test_identity_fixes_points():
     iso = BallIsometry.identity()
     p = BallPoint(0.3 - 0.1j, 0.2j)
-    assert apply_isometry(iso, p) == p
+    assert iso(p) == p
 
 
 def test_form_violation_rejected():
@@ -218,13 +216,13 @@ def test_ray_level_self_consistency():
 # ---------------------------------------------------------------------------
 
 def test_chord_midpoint():
-    g = real_geodesic(BoundaryPoint(1, 0), BoundaryPoint(0, 1))
+    g = RealGeodesic(BoundaryPoint(1, 0), BoundaryPoint(0, 1))
     mid = g.point(0.0)
     assert abs(mid.z - 0.5) < 1e-12 and abs(mid.w - 0.5) < 1e-12
 
 
 def test_diameter_geodesic():
-    g = real_geodesic(BoundaryPoint(1, 0), BoundaryPoint(-1, 0))
+    g = RealGeodesic(BoundaryPoint(1, 0), BoundaryPoint(-1, 0))
     for t in (-1.2, 0.0, 0.8):
         p = g.point(t)
         assert abs(p.z - math.tanh(t)) < 1e-12
@@ -233,7 +231,7 @@ def test_diameter_geodesic():
 
 def test_geodesic_image_lies_on_the_chord():
     a, b = BoundaryPoint(0.6, 0.8), BoundaryPoint(-0.8, 0.6)
-    g = real_geodesic(a, b)
+    g = RealGeodesic(a, b)
     av = np.array([a.xi1.real, a.xi2.real])
     bv = np.array([b.xi1.real, b.xi2.real])
     for t in (-2.0, -0.5, 0.0, 1.0, 2.5):
@@ -245,7 +243,7 @@ def test_geodesic_image_lies_on_the_chord():
 
 
 def test_geodesic_unit_speed_and_endpoints():
-    g = real_geodesic(BoundaryPoint(1, 0), BoundaryPoint(0, 1))
+    g = RealGeodesic(BoundaryPoint(1, 0), BoundaryPoint(0, 1))
     for t1, t2 in ((-1.0, 2.0), (0.3, 0.9)):
         assert abs(distance(g.point(t1), g.point(t2)) - abs(t1 - t2)) < 1e-9
     far = g.point(9.5)  # e^{-19} from the boundary, still inside in floats
@@ -256,12 +254,12 @@ def test_geodesic_unit_speed_and_endpoints():
 
 def test_coincident_endpoints_rejected():
     with pytest.raises(CoincidentEndpoints):
-        real_geodesic(BoundaryPoint(1, 0), BoundaryPoint(1, 0))
+        RealGeodesic(BoundaryPoint(1, 0), BoundaryPoint(1, 0))
 
 
 def test_unit_level_points_on_the_chord():
     # the two points of the chord with unit horocycle level at each endpoint
-    g = real_geodesic(BoundaryPoint(1, 0), BoundaryPoint(0, 1))
+    g = RealGeodesic(BoundaryPoint(1, 0), BoundaryPoint(0, 1))
     xi = BoundaryPoint(1, 0)
     found = None
     lo, hi = -2.0, 0.0

@@ -84,6 +84,16 @@ def test_intersection_census_flag(tmp_path, capsys):
     assert json.loads(out)["saddle_connection_count"] == 8
 
 
+@pytest.mark.parametrize("bound", ["inf", "nan", "-1"])
+def test_intersection_bad_length_bound_is_an_input_error(tmp_path, capsys, bound):
+    code, out, err = run(capsys, "intersection", "--origami", TORUS_PATH,
+                         "--length-bound", bound, "--out", str(tmp_path / "t.csv"))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and "Traceback" not in err
+    assert not (tmp_path / "t.csv").exists()
+
+
 def test_intersection_deterministic_output(tmp_path, capsys):
     csv1, csv2 = tmp_path / "a.csv", tmp_path / "b.csv"
     _, out1, _ = run(capsys, "intersection", "--origami", L3_PATH, "--out", str(csv1))
@@ -156,8 +166,7 @@ def test_smoothness_shear_path(capsys):
 
 def test_oracle_disagreement_exits_three(capsys, monkeypatch):
     # force the two branch indices apart to check the exit-code wiring
-    import rigidity.cli as cli_mod
-    monkeypatch.setattr(cli_mod.symdom, "monodromy_index",
+    monkeypatch.setattr(symdom, "monodromy_index",
                         lambda P, epsilon: 99)
     code, _, err = run(capsys, "smoothness", "--path", DIAG_PATH)
     assert code == 3

@@ -407,6 +407,36 @@ def test_census_order_is_exact_beyond_float_lengths():
     assert all(s.length == math.sqrt(a * a + b * b) for s, (a, b) in zip(census, hols))
 
 
+def brute_force_directions(max_length):
+    """Every primitive (p, q) with q > 0 or (p, q) = (1, 0) and
+    p*p + q*q <= max_length*max_length, ordered by q, then p."""
+    r = math.ceil(max_length)
+    return sorted(
+        ((p, q) for q in range(r + 1) for p in range(-r, r + 1)
+         if (q > 0 or p > 0) and math.gcd(p, q) == 1
+         and p * p + q * q <= max_length * max_length),
+        key=lambda v: (v[1], v[0]))
+
+
+def test_primitive_directions_match_brute_force():
+    rnd = random.Random(17)
+    roots = [math.sqrt(k) for k in range(400)]
+    bounds = (roots + [math.nextafter(x, math.inf) for x in roots]
+              + [math.nextafter(x, 0.0) for x in roots]
+              + [rnd.uniform(0.0, 45.0) for _ in range(40)]
+              + [0, 7, Fraction(7, 3), Fraction(10 ** 6 + 1, 10 ** 5)])
+    for L in bounds:
+        assert _primitive_upper_directions(L) == brute_force_directions(L), L
+
+
+@pytest.mark.parametrize("bound", [math.nan, math.inf, -1.0, -1])
+def test_length_bound_must_be_finite_and_non_negative(bound):
+    with pytest.raises(ValueError, match="max_length"):
+        saddle_connections(TORUS, bound)
+    with pytest.raises(ValueError, match="max_length"):
+        saddle_connection_count(TORUS, bound)
+
+
 # ---------------------------------------------------------------------------
 # cylinders
 # ---------------------------------------------------------------------------

@@ -5,19 +5,44 @@ import sys
 from pathlib import Path
 
 import rigidity
+from rigidity import data
+
+
+def _fresh_modules(code):
+    """Sorted names in sys.modules after running code in a new interpreter."""
+    src = str(Path(rigidity.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code += "\nimport sys; print(sorted(sys.modules))"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env=env)
+    return ast.literal_eval(out.stdout.strip().splitlines()[-1])
+
+
+def _top_level(modules, name):
+    return [m for m in modules if m.split(".")[0] == name]
 
 
 def test_import_loads_no_scipy():
     # numpy is the only runtime dependency; importing scipy would take most
     # of the start-up time of every rigidity command
-    src = str(Path(rigidity.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    code = ("import sys, rigidity; "
-            "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, check=True, env=env)
-    assert out.stdout.strip() == "[]"
+    assert _top_level(_fresh_modules("import rigidity"), "scipy") == []
+
+
+def test_import_loads_no_submodule_and_no_numpy():
+    modules = _fresh_modules("import rigidity")
+    assert _top_level(modules, "rigidity") == ["rigidity"]
+    assert _top_level(modules, "numpy") == []
+
+
+def test_intersection_command_loads_no_numpy(tmp_path):
+    origami = data.data_path("origamis", "grid_3x2_6")
+    argv = ["intersection", "--origami", origami, "--length-bound", "10",
+            "--out", str(tmp_path / "profile.csv")]
+    modules = _fresh_modules(
+        f"from rigidity.cli import main\nassert main({argv!r}) == 0")
+    assert _top_level(modules, "numpy") == []
+    assert "rigidity.flatsurf" in modules
 
 
 def _private_reaches(path, modules):

@@ -386,6 +386,49 @@ def test_puiseux_degenerate_rejected():
         newton_puiseux_index(biv([-2], [0], [1]))  # y^2 = 2: irrational top
 
 
+def term_gt(a, b):
+    """Whether leading term a = (mu_a, c_a) dominates b at small t > 0: the
+    pairwise rule that newton_puiseux_index applied before its sort key.
+
+    mu = None stands for the exactly-zero branch (value identically 0); a
+    smaller exponent dominates when its coefficient is positive.
+    """
+    (mu_a, c_a), (mu_b, c_b) = a, b
+    if mu_a is None and mu_b is None:
+        return False
+    if mu_a is None:
+        return c_b < 0
+    if mu_b is None:
+        return c_a > 0
+    if mu_a == mu_b:
+        return c_a > c_b
+    if mu_a < mu_b:
+        return c_a > 0
+    return c_b < 0
+
+
+_terms = st.tuples(
+    st.fractions(min_value=Fraction(1, 12), max_value=4, max_denominator=12),
+    st.floats(min_value=-4, max_value=4, allow_nan=False).filter(lambda c: c != 0),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_terms, _terms, st.booleans())
+@example((Fraction(1, 2), 1.0), (Fraction(1, 2), 2.0), True)
+@example((Fraction(1, 2), -1.0), (Fraction(1, 3), 1.0), False)
+@example((Fraction(1, 2), -1.0), (Fraction(1, 2), -1.0), True)
+def test_dominance_key_agrees_with_pairwise_rule(a, b, same_exponent):
+    # edge roots are nonzero, so candidate coefficients never vanish
+    if same_exponent:
+        b = (a[0], b[1])
+    key_a, key_b = symdom._dominance_key(a), symdom._dominance_key(b)
+    assert (key_a > key_b) == term_gt(a, b)
+    assert (key_b > key_a) == term_gt(b, a)
+    # the exactly-zero branch wins against a term iff its c <= 0
+    assert (not term_gt(a, (None, 0.0))) == (a[1] <= 0)
+
+
 # ---------------------------------------------------------------------------
 # monodromy oracle
 # ---------------------------------------------------------------------------
