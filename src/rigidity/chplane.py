@@ -351,6 +351,8 @@ def step2_verify(theta_twist=0.0):
     configuration under the isometry (z, w) -> (e^{-i theta} z, w), it must
     produce the same distance.
     """
+    if not math.isfinite(theta_twist):
+        raise ValueError(f"theta_twist must be finite, got {theta_twist}")
     xi_a = BoundaryPoint(cmath.exp(-1j * theta_twist), 0.0)
     xi_b = BoundaryPoint(0.0, 1.0)
     delta = RealGeodesic(xi_a, xi_b)

@@ -58,6 +58,12 @@ def _emit_json(payload, out_path=None):
             fh.write(text)
 
 
+def _check_tolerance(tolerance):
+    # argparse errors exit 2, which means a tolerance violation here
+    if not 0 < tolerance < math.inf:
+        raise ValueError(f"tolerance must be positive and finite, got {tolerance}")
+
+
 def _parse_direction(text):
     parts = text.split(",")
     if len(parts) != 2:
@@ -68,8 +74,7 @@ def _parse_direction(text):
 def cmd_intersection(args):
     from . import flatsurf
 
-    if args.tolerance <= 0:
-        raise ValueError("tolerance must be positive")
+    _check_tolerance(args.tolerance)
     origami = flatsurf.load_origami(args.origami)
     direction = _parse_direction(args.direction)
     multicurve = flatsurf.FlatMulticurve.from_cylinders(
@@ -100,6 +105,7 @@ def cmd_intersection(args):
 def cmd_horocycle(args):
     from . import chplane
 
+    _check_tolerance(args.tolerance)
     result = chplane.step2_verify(theta_twist=args.theta_twist)
     payload = {k: (_round15(v) if isinstance(v, float) else [_round15(x) for x in v])
                for k, v in result.to_json_dict().items()}

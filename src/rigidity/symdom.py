@@ -16,9 +16,8 @@ the branching index.  ``smoothness_report`` certifies that the distance
 is a smooth function of t**(1/K) by polynomial fitting in the
 reparametrized variable.
 
-All objects are immutable and every function is pure; monodromy tracking
-is internally sequential (the continuation is path dependent) but distinct
-polynomials may be analyzed concurrently.
+All objects are immutable and every function is pure; the tracker and
+the sampler each solve all their points in one stacked numpy call.
 """
 
 import math
@@ -200,10 +199,10 @@ class PolynomialMatrixPath:
         return cls([[RationalPoly.from_json(entry) for entry in row] for row in data])
 
     def evaluate(self, t):
-        return np.array(
-            [[e.eval_complex(t) for e in row] for row in self.entries],
-            dtype=complex,
-        )
+        """V(t) as a complex matrix, or one per t for an array of t."""
+        t = np.asarray(t)
+        values = _values_at([e for row in self.entries for e in row], t.ravel())
+        return values.reshape(t.shape + (self.rows, self.cols))
 
     def __repr__(self):
         return f"PolynomialMatrixPath({self.rows}x{self.cols})"
@@ -467,22 +466,39 @@ def _nearest_branch_point(P):
     return min(abs(b) for b in np.roots(list(reversed(deflated.complex_coeffs()))))
 
 
-def _root_solver(P):
-    """roots_at(t), the numeric roots of y -> P(t, y).  The coefficients are
-    converted to complex once and evaluated by the Horner steps of eval_t,
-    so every np.roots input is bit-identical to eval_t's."""
-    complex_coeffs = [c.complex_coeffs() for c in reversed(P.coeffs)]
+def _values_at(polys, ts):
+    """Values of the polynomials at every t of ts, one row per t, equal to
+    eval_complex bit for bit: Horner's rule runs in its real and imaginary
+    float steps.  Each ends in + coefficient, never -0.0, so re + 1j im is exact."""
+    t = np.asarray(ts, dtype=complex)[:, None]
+    width = max(len(p.num) for p in polys)
+    coeffs = np.array([p.complex_coeffs() + [0j] * (width - len(p.num)) for p in polys])
+    re = im = np.zeros((len(t), len(polys)))
+    with np.errstate(over="ignore", invalid="ignore"):  # silent, as float arithmetic is
+        for c in coeffs.T[::-1]:
+            re, im = re * t.real - im * t.imag + c.real, re * t.imag + im * t.real + c.imag
+    return re + 1j * im
 
-    def roots_at(t):
-        values = []
-        for coeffs in complex_coeffs:
-            out = 0j
-            for c in reversed(coeffs):
-                out = out * t + c
-            values.append(out)
-        return np.roots(values)
 
-    return roots_at
+def _roots_at(P, ts):
+    """Roots of y -> P(t, y) for every t of ts, one row per t, equal to
+    np.roots(list(reversed(P.eval_t(t)))) bit for bit: one eigvals call
+    solves the companion matrices np.roots builds.  np.roots strips zero end
+    coefficients, so such rows go through it; short rows end in NaN, and a
+    row with a non-finite value (where np.roots raises) is all NaN."""
+    coeffs = _values_at(P.coeffs[::-1], ts)
+    m = P.degree_y
+    roots = np.full((len(coeffs), m), np.nan, dtype=complex)
+    finite = np.isfinite(coeffs).all(axis=1)
+    plain = finite & (coeffs[:, 0] != 0) & (coeffs[:, -1] != 0)
+    companion = np.zeros((np.count_nonzero(plain), m, m), dtype=complex)
+    companion[:, 0, :] = -coeffs[plain, 1:] / coeffs[plain, :1]
+    companion[:, np.arange(1, m), np.arange(m - 1)] = 1
+    roots[plain] = np.linalg.eigvals(companion)
+    for i in np.flatnonzero(finite & ~plain):
+        row = np.roots(coeffs[i])
+        roots[i, :len(row)] = row
+    return roots
 
 
 def _nearest_match(roots, fresh, where):
@@ -497,38 +513,34 @@ def _nearest_match(roots, fresh, where):
 def _track_top_branch(P, radius, steps):
     """Cycle length of the top branch under analytic continuation around 0.
 
-    The roots of P(t, .) are tracked along the circle |t| = radius in fixed
-    steps: at each step fresh roots are computed and each tracked root moves
-    to its nearest fresh root.  If two roots pick the same one, the step is
-    too coarse to follow the branches and BranchPointOnCircle is raised.  A
-    bijective nearest match is an optimal assignment: every permutation
-    costs at least the sum of the row minima of the distance matrix, and
-    this one attains it.  When each row minimum is unique, it is the only
-    optimal assignment.  The branch starting at the root with the largest
-    real part at t = radius is followed; the cycle length of the final root
-    permutation through that branch is returned.
+    One _roots_at call solves all steps on |t| = radius; each tracked root
+    moves to its nearest root at the next step, which does not depend on
+    the order of the roots, so one argmin matches every step.  The first
+    step whose match is no bijection, or whose roots come within
+    COLLISION_TOL, raises BranchPointOnCircle.  A bijective nearest match
+    is an optimal assignment: every permutation costs at least the sum of
+    the row minima of the distance matrix, and this one attains it
+    (uniquely if each row minimum is unique).  Returns the cycle length of
+    the branch starting at the root with the largest real part at t = radius.
     """
-    roots_at = _root_solver(P)
-    start = roots_at(radius)
-    m = len(start)
-    if m == 1:
-        return 1
-    selected = int(np.lexsort((-start.imag, -start.real))[0])
-    current = start.copy()
-    for j in range(1, steps + 1):
-        t = radius * np.exp(2j * np.pi * j / steps)
-        fresh = roots_at(t)
-        new = fresh[_nearest_match(current, fresh, f"at step {j}")]
-        # collision guard: the matching is meaningless if roots merge
-        for a in range(m):
-            for b in range(a + 1, m):
-                if abs(new[a] - new[b]) < COLLISION_TOL:
-                    raise BranchPointOnCircle(
-                        f"root collision within {COLLISION_TOL} at step {j}"
-                    )
-        current = new
+    roots = _roots_at(P, radius * np.exp(1j * (2 * np.pi * np.arange(steps + 1) / steps)))
+    m = roots.shape[1]
+    nearest = np.argmin(np.abs(roots[:-1, :, None] - roots[1:, None, :]), axis=2)
+    short = np.isnan(roots).any(axis=1)
+    shared = short[:-1] | short[1:] | (np.sort(nearest, axis=1) != np.arange(m)).any(axis=1)
+    gaps = np.abs(roots[1:, :, None] - roots[1:, None, :]) + np.diag([np.inf] * m)
+    failed = np.flatnonzero(shared | (gaps < COLLISION_TOL).any(axis=(1, 2)))
+    if failed.size:
+        j = int(failed[0])
+        if shared[j]:
+            raise BranchPointOnCircle(f"two roots share their nearest root at step {j + 1}")
+        raise BranchPointOnCircle(f"root collision within {COLLISION_TOL} at step {j + 1}")
+    tracked = list(range(m))
+    for match in nearest.tolist():
+        tracked = [match[k] for k in tracked]
     # match the final configuration back to the start to read the permutation
-    perm = _nearest_match(current, start, "when closing the loop")
+    perm = _nearest_match(roots[-1][tracked], roots[0], "when closing the loop")
+    selected = int(np.lexsort((-roots[0].imag, -roots[0].real))[0])
     # cycle length through the selected branch
     length = 1
     k = perm[selected]
@@ -543,8 +555,8 @@ def monodromy_index(P, epsilon):
     least of 0.01, epsilon / 4 and half the nearest nonzero branch point:
     one exact discriminant picks r, and by construction the circle encloses
     and touches no branch point other than 0."""
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
+    if not 0 < epsilon < math.inf:
+        raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
     radius = min(0.01, epsilon / 4.0, 0.5 * _nearest_branch_point(P))
     return _track_top_branch(P, radius, MONODROMY_STEPS)
 
@@ -553,8 +565,10 @@ def monodromy_branch_index(P, radius, steps=MONODROMY_STEPS):
     """Monodromy branch index of the top branch around |t| = radius, after
     checking through the exact discriminant that the circle encloses and
     touches no branch point other than 0."""
-    if radius <= 0:
-        raise ValueError("radius must be positive")
+    if not 0 < radius < math.inf:
+        raise ValueError(f"radius must be positive and finite, got {radius}")
+    if steps < 1:
+        raise ValueError(f"steps must be at least 1, got {steps}")
     if P.degree_y < 1:
         raise ValueError("P must depend on the eigenvalue variable")
     closest = _nearest_branch_point(P)
@@ -589,12 +603,19 @@ def _fit_residual(ts, ds, K):
     return float(np.max(np.abs(np.polyval(coeffs, us / u_scale) - ds)))
 
 
-def _sample_and_fit(P, epsilon, distance_at):
-    """Report for the distances distance_at(t) sampled on [0, epsilon], with
-    K from the Puiseux analysis of the exact characteristic polynomial P."""
+def _sample_and_fit(P, epsilon, norms_at, boundary):
+    """Report for the norms norms_at(ts) (NaN: no real eigenvalue) sampled on
+    [0, epsilon], checked in t order, with K from the Puiseux analysis of
+    the exact characteristic polynomial P; boundary formats BoundaryHit."""
     branch = newton_puiseux_index(P)
     ts = np.linspace(0.0, epsilon, SMOOTHNESS_SAMPLES)
-    ds = np.array([distance_at(float(t)) for t in ts])
+    ds = []
+    for t, norm in zip(ts.tolist(), norms_at(ts).tolist()):
+        if math.isnan(norm):
+            raise PuiseuxError(f"no real eigenvalue at t = {t}")
+        if norm > 1.0 - BALL_MARGIN:
+            raise BoundaryHit(boundary.format(norm=norm, t=t))
+        ds.append(math.atanh(norm))
     return SmoothnessReport(
         fit_residual=_fit_residual(ts, ds, branch.distance_index),
         naive_residual=_fit_residual(ts, ds, 1),
@@ -612,20 +633,16 @@ def smoothness_report_from_charpoly(P, epsilon):
     u = t**(1/K) with K from the polygon analysis, and reports the maximal
     sample residual together with the residual of the naive fit in t itself.
     """
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
-    roots_at = _root_solver(P)
+    if not 0 < epsilon < math.inf:
+        raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
 
-    def distance_at(t):
-        real = [r.real for r in roots_at(t) if abs(r.imag) < 1e-7]
-        if not real:
-            raise PuiseuxError(f"no real eigenvalue at t = {t}")
-        top = math.sqrt(max(max(real), 0.0))
-        if top > 1.0 - BALL_MARGIN:
-            raise BoundaryHit(f"norm {top} at t = {t} is not inside the ball")
-        return math.atanh(top)
+    def norms_at(ts):
+        roots = _roots_at(P, ts)
+        real = np.where(np.abs(roots.imag) < 1e-7, roots.real, np.nan)
+        return np.sqrt(np.maximum(np.fmax.reduce(real, axis=1), 0.0))
 
-    return _sample_and_fit(P, epsilon, distance_at)
+    return _sample_and_fit(P, epsilon, norms_at,
+                           "norm {norm} at t = {t} is not inside the ball")
 
 
 def smoothness_report(path, epsilon):
@@ -635,13 +652,11 @@ def smoothness_report(path, epsilon):
     distance samples come directly from the singular values of V(t).  Raises
     BoundaryHit when any sample leaves the open ball.
     """
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
+    if not 0 < epsilon < math.inf:
+        raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
 
-    def distance_at(t):
-        norm = operator_norm(path.evaluate(t))
-        if norm > 1.0 - BALL_MARGIN:
-            raise BoundaryHit(f"operator norm {norm} at t = {t} leaves the ball")
-        return math.atanh(norm)
+    def norms_at(ts):
+        return np.linalg.svd(path.evaluate(ts), compute_uv=False).max(axis=1)
 
-    return _sample_and_fit(charpoly_path(path), epsilon, distance_at)
+    return _sample_and_fit(charpoly_path(path), epsilon, norms_at,
+                           "operator norm {norm} at t = {t} leaves the ball")

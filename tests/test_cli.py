@@ -2,6 +2,7 @@ import hashlib
 import importlib.util
 import json
 import math
+import warnings
 from collections import Counter
 from pathlib import Path
 
@@ -241,3 +242,33 @@ def test_smoothness_deterministic(capsys):
 def test_unknown_command_rejected(capsys):
     with pytest.raises(SystemExit):
         main(["frobnicate"])
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("mode", [["--path", DIAG_PATH], ["--charpoly", "--path", SQRT_POLY]])
+def test_smoothness_non_finite_epsilon_exits_one(capsys, mode, value):
+    code, out, err = run(capsys, "smoothness", *mode, "--epsilon", value)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and "epsilon" in err
+    assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "0"])
+def test_non_finite_tolerance_exits_one(capsys, tmp_path, value):
+    # argparse would exit 2, which means a tolerance violation here
+    for argv in (["intersection", "--origami", L3_PATH, "--out", str(tmp_path / "p.csv")],
+                 ["horocycle"]):
+        code, out, err = run(capsys, *argv, "--tolerance", value)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and "tolerance" in err
+        assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_horocycle_non_finite_twist_exits_one(capsys, value):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, "horocycle", "--theta-twist", value)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and "theta_twist" in err
+    assert len(err.splitlines()) == 1

@@ -1,7 +1,11 @@
+import importlib.util
 import json
 import math
 import random
+import re
+import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -481,19 +485,22 @@ def test_nearest_match_is_the_optimal_assignment():
 
 
 def test_monodromy_matches_equal_the_optimal_assignment(monkeypatch):
-    # every matching made while tracking the bundled and test polynomials
+    # every matching made while tracking the bundled and test polynomials:
+    # one argmin over all steps, then one closing match
     optimize = pytest.importorskip("scipy.optimize")
-    original = symdom._nearest_match
+    original = np.argmin
     seen = []
 
-    def checked(roots, fresh, where):
-        match = original(roots, fresh, where)
-        dist = np.abs(roots[:, None] - fresh[None, :])
-        assert list(match) == list(optimize.linear_sum_assignment(dist)[1])
-        seen.append(where)
+    def checked(dist, axis):
+        # dist is (steps, m, m) for the steps and (m, m) for the closing match
+        match = original(dist, axis=axis)
+        m = dist.shape[-1]
+        for d, row in zip(dist.reshape(-1, m, m), match.reshape(-1, m)):
+            assert list(row) == list(optimize.linear_sum_assignment(d)[1])
+            seen.append(row)
         return match
 
-    monkeypatch.setattr(symdom, "_nearest_match", checked)
+    monkeypatch.setattr(symdom.np, "argmin", checked)
     polys = [data.charpoly(name) for name in data.charpoly_names()]
     polys += [SQRT_BRANCH, SHIFTED, ANALYTIC, biv([2], [-3], [1]),
               biv([0, 0, 0, 1], [], [], [1])]                  # y^3 + t^3
@@ -502,45 +509,195 @@ def test_monodromy_matches_equal_the_optimal_assignment(monkeypatch):
     assert len(seen) == len(polys) * 513
 
 
-def test_monodromy_root_inputs_equal_eval_t(monkeypatch):
-    # the coefficients converted once give every np.roots call the same
-    # floats as evaluating P(t, .) afresh at each step
+def recording(monkeypatch, name):
+    """Replace symdom.<name> by a wrapper that records (args, result)."""
     calls = []
-    original = np.roots
+    original = getattr(symdom, name)
 
-    def recording(coeffs):
-        calls.append(list(coeffs))
-        return original(coeffs)
+    def wrapper(*args):
+        result = original(*args)
+        calls.append((args, result))
+        return result
 
-    monkeypatch.setattr(symdom.np, "roots", recording)
+    monkeypatch.setattr(symdom, name, wrapper)
+    return calls
+
+
+def assert_rows_equal_np_roots(coeff_rows, root_rows):
+    # bit for bit; np.roots may return real zeros, and fewer roots than the
+    # row width, which the kernel pads with NaN
+    for coeffs, roots in zip(coeff_rows, root_rows):
+        expected = np.asarray(np.roots(coeffs), dtype=complex)
+        assert roots[:len(expected)].tobytes() == expected.tobytes()
+        assert np.isnan(roots[len(expected):]).all()
+
+
+def test_monodromy_root_inputs_equal_eval_t(monkeypatch):
+    # the stacked kernel evaluates P(t, .) at every step with the floats of
+    # eval_t, and its roots are those of np.roots on each row
+    values = recording(monkeypatch, "_values_at")
+    roots = recording(monkeypatch, "_roots_at")
     polys = [data.charpoly(name) for name in data.charpoly_names()]
     polys += [SHIFTED, biv(["1/3"], ["-1/7", "-2/3"], [1])]
     for P in polys:
-        calls.clear()
         radius = 0.005
         monodromy_branch_index(P, radius, steps=64)
         steps = [radius] + [radius * np.exp(2j * np.pi * j / 64) for j in range(1, 65)]
-        assert calls[-65:] == [list(reversed(P.eval_t(t))) for t in steps]
+        (_, ts), coeff_rows = values[-1]
+        assert ts.tolist() == steps
+        assert coeff_rows.tolist() == [list(reversed(P.eval_t(t))) for t in steps]
+        assert_rows_equal_np_roots(coeff_rows, roots[-1][1])
 
 
 def test_sampling_root_inputs_equal_eval_t(monkeypatch):
     # the report's 64 distance samples solve the same floats as evaluating
     # P(t, .) afresh at each sample point
-    calls = []
-    original = np.roots
-
-    def recording(coeffs):
-        calls.append(list(coeffs))
-        return original(coeffs)
-
-    monkeypatch.setattr(symdom.np, "roots", recording)
+    values = recording(monkeypatch, "_values_at")
+    roots = recording(monkeypatch, "_roots_at")
     polys = [data.charpoly(name) for name in data.charpoly_names()]
     polys += [SHIFTED, biv(["1/15", "1/35"], ["-8/15", "-1/7"], [1])]
     for P in polys:
-        calls.clear()
         smoothness_report_from_charpoly(P, 0.1)
         ts = np.linspace(0.0, 0.1, symdom.SMOOTHNESS_SAMPLES)
-        assert calls[-len(ts):] == [list(reversed(P.eval_t(float(t)))) for t in ts]
+        coeff_rows = values[-1][1]
+        assert values[-1][0][1].tolist() == ts.tolist()
+        assert coeff_rows.tolist() == [list(reversed(P.eval_t(float(t)))) for t in ts]
+        assert_rows_equal_np_roots(coeff_rows, roots[-1][1])
+
+
+def loop_track_top_branch(P, radius, steps):
+    """The step-by-step tracker that _track_top_branch replaced, kept as its
+    oracle: one np.roots call, one nearest match and one pairwise collision
+    check per step."""
+    def roots_at(t):
+        return np.roots(list(reversed(P.eval_t(t))))
+
+    start = roots_at(radius)
+    m = len(start)
+    if m == 1:
+        return 1
+    selected = int(np.lexsort((-start.imag, -start.real))[0])
+    current = start.copy()
+    for j in range(1, steps + 1):
+        t = radius * np.exp(2j * np.pi * j / steps)
+        fresh = roots_at(t)
+        new = fresh[symdom._nearest_match(current, fresh, f"at step {j}")]
+        # collision guard: the matching is meaningless if roots merge
+        for a in range(m):
+            for b in range(a + 1, m):
+                if abs(new[a] - new[b]) < symdom.COLLISION_TOL:
+                    raise BranchPointOnCircle(
+                        f"root collision within {symdom.COLLISION_TOL} at step {j}"
+                    )
+        current = new
+    perm = symdom._nearest_match(current, start, "when closing the loop")
+    length = 1
+    k = perm[selected]
+    while k != selected:
+        k = perm[k]
+        length += 1
+    return length
+
+
+def tracker_outcome(track, P, radius, steps):
+    try:
+        return track(P, radius, steps)
+    except BranchPointOnCircle as exc:
+        return type(exc), str(exc)
+
+
+# (y - t)(y - t - d) with d = 5e-9: at radius 1e-9 the roots barely move
+# between steps, so every match is a bijection but the two roots collide
+COLLIDING = biv([0, "1/200000000", 1], ["-1/200000000", -2], [1])
+
+
+@pytest.fixture(scope="module")
+def oracle_polys():
+    """Bundled charpolys, the test polynomials, and two generator rounds each
+    of the benchmark's charpoly and path workloads."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_gen", Path(__file__).resolve().parents[1] / "perfbench" / "gen.py")
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    polys = [data.charpoly(name) for name in data.charpoly_names()]
+    polys += [SQRT_BRANCH, SHIFTED, ANALYTIC, biv([2], [-3], [1]),
+              biv([0, 0, 0, 1], [], [], [1]),                  # y^3 + t^3
+              biv(["1/3"], ["-1/7", "-2/3"], [1]),
+              biv(["1/15", "1/35"], ["-8/15", "-1/7"], [1]),
+              biv(["1/200", -1], [], [1]),                     # branch point 1/200
+              biv([0, 100], [-1, -100], [1]),                  # branch point 1/100
+              biv([0, 0, 1], [0, -2], [1])]                    # (y - t)^2
+    rnd = random.Random(11)
+    for _ in range(2):
+        polys += [item[1] for item in gen.charpoly_round(rnd)]
+        polys += [charpoly_path(item[1]) for item in gen.path_round(rnd)]
+    return polys
+
+
+def test_stacked_tracker_equals_step_loop(oracle_polys):
+    cases = [(P, 0.005) for P in oracle_polys] + [(COLLIDING, 1e-9)]
+    outcomes = set()
+    for P, radius in cases:
+        for steps in (3, 8, 64, 512):
+            expected = tracker_outcome(loop_track_top_branch, P, radius, steps)
+            assert tracker_outcome(symdom._track_top_branch, P, radius, steps) == expected
+            outcomes.add(expected if isinstance(expected, int) else expected[1].split(" ")[0])
+    # every kind of result was compared: K = 1, 2, 3 and both failures
+    assert outcomes == {1, 2, 3, "two", "root"}
+
+
+def test_roots_at_equals_np_roots_on_every_row(oracle_polys):
+    circle = 0.005 * np.exp(2j * np.pi * np.arange(513) / 512)
+    samples = np.linspace(0.0, 0.1, symdom.SMOOTHNESS_SAMPLES)
+    for P in oracle_polys:
+        for ts in (circle, samples):
+            rows = [list(reversed(P.eval_t(t))) for t in ts.tolist()]
+            assert_rows_equal_np_roots(rows, symdom._roots_at(P, ts))
+
+
+def test_singular_path_rows_equal_np_roots():
+    # V(t) has a zero column, so P(t, y) is divisible by y: every row has a
+    # zero constant value, which np.roots strips before solving
+    path = PolynomialMatrixPath([[RationalPoly(["1/2", "1/4"]), RationalPoly.zero()],
+                                 [RationalPoly(["1/8", "1/3"]), RationalPoly.zero()]])
+    P = charpoly_path(path)
+    assert P.coeffs[0].is_zero
+    for ts in (0.005 * np.exp(2j * np.pi * np.arange(513) / 512),
+               np.linspace(0.0, 0.1, symdom.SMOOTHNESS_SAMPLES)):
+        rows = [list(reversed(P.eval_t(t))) for t in ts.tolist()]
+        assert_rows_equal_np_roots(rows, symdom._roots_at(P, ts))
+    for steps in (3, 8, 64, 512):
+        assert symdom._track_top_branch(P, 0.005, steps) == \
+            loop_track_top_branch(P, 0.005, steps) == 1
+    assert smoothness_report(path, 0.1).K == 1
+
+
+def test_tracker_rejects_a_step_with_fewer_roots():
+    # (t - 1/100) y^2 + y + 1/4: the leading coefficient vanishes at the
+    # start t = 1/100, where one root escapes to infinity
+    P = biv(["1/4"], [1], ["-1/100", 1])
+    assert np.isnan(symdom._roots_at(P, [0.01])).sum() == 1
+    with pytest.raises(BranchPointOnCircle, match="nearest root at step 1"):
+        symdom._track_top_branch(P, 0.01, 64)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0])
+def test_non_finite_epsilon_and_radius_rejected(bad):
+    with pytest.raises(ValueError, match="epsilon"):
+        smoothness_report(DIAG_PATH, bad)
+    with pytest.raises(ValueError, match="epsilon"):
+        smoothness_report_from_charpoly(SHIFTED, bad)
+    with pytest.raises(ValueError, match="epsilon"):
+        monodromy_index(SHIFTED, bad)
+    with pytest.raises(ValueError, match="radius"):
+        monodromy_branch_index(SHIFTED, bad)
+
+
+def test_monodromy_branch_index_rejects_no_steps():
+    # no step would close the loop without tracking anything
+    for steps in (0, -3):
+        with pytest.raises(ValueError, match="steps"):
+            monodromy_branch_index(SHIFTED, 0.005, steps=steps)
 
 
 def tracking_radius(monkeypatch):
@@ -673,6 +830,25 @@ def test_smoothness_boundary_hit():
     ])
     with pytest.raises(BoundaryHit):
         smoothness_report(path, 1.0)
+
+
+def test_overflowing_samples_keep_the_first_error_in_t_order():
+    # the last samples overflow (the entries, degree 2 in t, beyond t ~ 1e154;
+    # the charpoly coefficients, degree 4, beyond t ~ 1e77), but the first
+    # nonzero sample already leaves the ball: that error is raised
+    path = PolynomialMatrixPath([
+        [RationalPoly(["1/2", 0, "1/4"]), RationalPoly.zero()],
+        [RationalPoly.zero(), RationalPoly(["1/4"])],
+    ])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for report, P, epsilon, message in (
+                (smoothness_report, path, 1e155, "leaves the ball"),
+                (smoothness_report_from_charpoly, charpoly_path(path), 1e78,
+                 "is not inside the ball")):
+            t1 = epsilon / (symdom.SMOOTHNESS_SAMPLES - 1)
+            with pytest.raises(BoundaryHit, match=re.escape(f"at t = {t1} {message}")):
+                report(P, epsilon)
 
 
 def test_smoothness_monotone_distance_for_radial_path():
