@@ -82,7 +82,8 @@ def _check_permutation(images, n, name):
     seen = [False] * n
     out = []
     for x in seq:
-        if not isinstance(x, int) or not 1 <= x <= n:
+        # bool is an int subclass, but True is no square label
+        if isinstance(x, bool) or not isinstance(x, int) or not 1 <= x <= n:
             raise BadPermutation(f"{name} entry {x!r} is not in 1..{n}")
         if seen[x - 1]:
             raise BadPermutation(f"{name} repeats the image {x}")
@@ -127,7 +128,8 @@ class Origami:
     """
 
     def __init__(self, h, v):
-        n = len(list(h))
+        h, v = list(h), list(v)
+        n = len(h)
         self.n = n
         if n < 1:
             raise BadPermutation("need at least one square")
@@ -221,7 +223,8 @@ class Origami:
 
 def build_origami(n, h, v):
     """Construct and validate an origami from 1-indexed image arrays."""
-    if len(list(h)) != n or len(list(v)) != n:
+    h, v = list(h), list(v)
+    if len(h) != n or len(v) != n:
         raise BadPermutation(f"h and v must both have {n} entries")
     return Origami(h, v)
 
@@ -237,7 +240,7 @@ def area(origami):
     return origami.n
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SaddleConnection:
     """Oriented flat segment between marked points with no marked point inside."""
 
@@ -260,16 +263,37 @@ class SaddleConnection:
         return SaddleConnection(self.end, self.start, -self.holonomy)
 
 
-def _primitive_upper_directions(max_length):
-    """Primitive integer vectors with angle in [0, pi) and length <= bound.
+def _append_connections(out, holonomy, endpoints):
+    """Append SaddleConnection(start, end, holonomy) to out for each (start,
+    end) pair of endpoints: the census path, which checks the shared
+    holonomy once and sets the slots directly, not through the frozen
+    __setattr__ and the __post_init__ of every object."""
+    if holonomy == 0:
+        raise ValueError("saddle connection must have nonzero holonomy")
+    new, cls, append = object.__new__, SaddleConnection, out.append
+    set_start, set_end = cls.start.__set__, cls.end.__set__
+    set_holonomy = cls.holonomy.__set__
+    for start, end in endpoints:
+        sc = new(cls)
+        set_start(sc, start)
+        set_end(sc, end)
+        set_holonomy(sc, holonomy)
+        append(sc)
 
-    An integer norm p**2 + q**2 is at most max_length**2 exactly when it is
-    at most m = floor(max_length**2), so the search runs on integers only.
-    """
+
+def _norm_bound(max_length):
+    """floor(max_length**2): an integer norm p**2 + q**2 is at most
+    max_length**2 exactly when it is at most this, so direction searches run
+    on integers only."""
     if not 0 <= max_length < math.inf:
         raise ValueError(
             f"max_length must be finite and non-negative, got {max_length!r}")
-    m = math.floor(max_length * max_length)
+    return math.floor(max_length * max_length)
+
+
+def _primitive_upper_directions(max_length):
+    """Primitive integer vectors with angle in [0, pi) and length <= bound."""
+    m = _norm_bound(max_length)
     out = [(1, 0)] if m >= 1 else []
     q = 1
     while q * q <= m:
@@ -310,6 +334,43 @@ def _return_permutation(origami, p, q):
     return u
 
 
+def _return_permutations(origami, max_length):
+    """Yield (p, q, R) for every primitive upper direction (p, q) with
+    p**2 + q**2 <= max_length**2, R equal to _return_permutation(origami, p, q).
+
+    The crossing word of (a, b), a, b >= 1, is a Christoffel word; its
+    standard factorization is the product of the words of its Stern-Brocot
+    parents (a1, b1) + (a2, b2) = (a, b), the first of smaller slope.  So each
+    R is one composition of its parents' permutations, and the walk prunes at
+    the bound, a parent being never longer than its child.  For p = -a the
+    word is the lower Christoffel word in h^-1 and v: the roots (1, 0) and
+    (0, 1) carry h^-1 and v, and a child applies its first parent first.  For
+    p = a it is the upper Christoffel word in h and v with its leading v
+    moved to the end, i.e. conjugated by v, which commutes with composition:
+    the roots carry v h v^-1 and v, and a child applies its second parent
+    first.
+    """
+    m = _norm_bound(max_length)
+    if m < 1:
+        return
+    h, v, h_inv, v_inv = origami._h, origami._v, origami._h_inv, origami._v_inv
+    yield 1, 0, h
+    yield 0, 1, v
+    # (left parent, right parent, their p < 0 and their p > 0 permutations)
+    stack = [((1, 0), (0, 1), h_inv, v, [v[h[x]] for x in v_inv], v)]
+    while stack:
+        (a1, b1), (a2, b2), neg1, neg2, pos1, pos2 = stack.pop()
+        a, b = a1 + a2, b1 + b2
+        if a * a + b * b > m:
+            continue
+        neg = [neg2[x] for x in neg1]
+        pos = [pos1[x] for x in pos2]
+        yield a, b, pos
+        yield -a, b, neg
+        stack.append(((a1, b1), (a, b), neg1, neg, pos1, pos))
+        stack.append(((a, b), (a2, b2), neg, neg2, pos, pos2))
+
+
 def saddle_connections(origami, max_length=DEFAULT_LENGTH_BOUND):
     """Every oriented saddle connection with |holonomy| <= max_length.
 
@@ -319,10 +380,11 @@ def saddle_connections(origami, max_length=DEFAULT_LENGTH_BOUND):
     integer vectors).  The germ of direction (p, q) leaving the bottom-left
     corner of square s (the bottom-right corner of h^-1(s) when p < 0) ends
     at the bottom-left corner of R(s), R being the first-return permutation
-    of the flow in that direction; so each direction costs one integer
-    crossing word of |p| + q letters applied to all n squares, O(n (|p| + q))
-    list steps, and a census of bound L costs O(n L^3).  The opposite
-    orientations are mirrored in afterwards.
+    of the flow in that direction.  The directions are walked down the
+    Stern-Brocot tree, where each R is one composition of the permutations
+    of its two parents (see _return_permutations), so the permutations of a
+    census of bound L cost O(n L^2) list steps, the size of its output.  The
+    opposite orientations are mirrored in afterwards.
 
     Output is sorted by (length, angle, endpoints) with an exact key per
     direction: (p**2 + q**2, half plane, -p) for the upper vector (p, q) and
@@ -332,15 +394,17 @@ def saddle_connections(origami, max_length=DEFAULT_LENGTH_BOUND):
     """
     vertex = origami._vertex_of_square
     blocks = []
-    for p, q in _primitive_upper_directions(max_length):
-        ret = _return_permutation(origami, p, q)
-        pairs = sorted((vertex[s], vertex[r]) for s, r in enumerate(ret))
+    for p, q, ret in _return_permutations(origami, max_length):
+        ends = [vertex[r] for r in ret]
         hol = complex(p, q)
         norm2 = p * p + q * q
-        blocks.append(((norm2, 0, -p), hol, pairs))
-        blocks.append(((norm2, 1, -p), -hol, sorted((e, s) for s, e in pairs)))
+        blocks.append(((norm2, 0, -p), hol, sorted(zip(vertex, ends))))
+        blocks.append(((norm2, 1, -p), -hol, sorted(zip(ends, vertex))))
     blocks.sort(key=lambda block: block[0])
-    return [SaddleConnection(s, e, hol) for _, hol, pairs in blocks for s, e in pairs]
+    out = []
+    for _, hol, pairs in blocks:
+        _append_connections(out, hol, pairs)
+    return out
 
 
 def saddle_connection_count(origami, max_length=DEFAULT_LENGTH_BOUND):

@@ -1,4 +1,7 @@
+import copy
+import dataclasses
 import math
+import pickle
 import random
 from collections import Counter
 from fractions import Fraction
@@ -15,8 +18,10 @@ from rigidity.flatsurf import (
     NotPrimitive,
     Origami,
     SaddleConnection,
+    _append_connections,
     _primitive_upper_directions,
     _return_permutation,
+    _return_permutations,
     area,
     build_origami,
     cylinder_decomposition,
@@ -24,6 +29,7 @@ from rigidity.flatsurf import (
     horizontal_multicurve,
     intersection_profile,
     intersection_q_horizontal,
+    load_origami,
     profile_nonconstancy,
     rotate_differential,
     saddle_connection_count,
@@ -242,6 +248,28 @@ def test_bad_permutations_rejected():
         build_origami(2, [1, 2, 3], [1, 2])
     with pytest.raises(BadPermutation):
         build_origami(2, [0, 1], [1, 2])
+    # bool is an int subclass, yet no square label
+    with pytest.raises(BadPermutation, match="True"):
+        Origami([True, 2], [1, 2])
+    with pytest.raises(BadPermutation, match="False"):
+        build_origami(2, [2, 1], [2, False])
+
+
+def test_origami_reads_each_gluing_once():
+    # one-shot iterators: a second read of either would find them empty
+    assert Origami(iter([2, 1]), iter([1, 2])) == Origami([2, 1], [1, 2])
+    assert build_origami(2, (x for x in [2, 1]), [1, 2]) == Origami([2, 1], [1, 2])
+    assert build_origami(2, [2, 1], (x for x in [1, 2])) == Origami([2, 1], [1, 2])
+
+
+def test_json_bool_entries_rejected(tmp_path):
+    payload = '{"n": 2, "h": [true, 2], "v": [2, 1]}'
+    with pytest.raises(BadPermutation):
+        Origami.from_json(payload)
+    path = tmp_path / "bool.json"
+    path.write_text(payload, encoding="utf-8")
+    with pytest.raises(BadPermutation):
+        load_origami(path)
 
 
 def test_euler_characteristic_on_random_origamis():
@@ -435,6 +463,88 @@ def test_length_bound_must_be_finite_and_non_negative(bound):
         saddle_connections(TORUS, bound)
     with pytest.raises(ValueError, match="max_length"):
         saddle_connection_count(TORUS, bound)
+
+
+def tree_permutations(origami, max_length):
+    """The Stern-Brocot walk's permutations, checked against the crossing
+    word of _return_permutation direction by direction."""
+    walked = [(p, q, list(ret)) for p, q, ret in _return_permutations(origami, max_length)]
+    got = {(p, q): ret for p, q, ret in walked}
+    assert len(got) == len(walked), "a direction was walked twice"
+    assert sorted(got) == sorted(_primitive_upper_directions(max_length))
+    for (p, q), ret in got.items():
+        assert ret == list(_return_permutation(origami, p, q)), (p, q)
+    return got
+
+
+@pytest.mark.parametrize("name", data.origami_names())
+def test_tree_permutations_match_crossing_words(name):
+    o = data.origami(name)
+    for L in (1.5, 7.0, 20.0):
+        got = tree_permutations(o, L)
+        assert any(p < 0 for p, _ in got) and any(p > 0 for p, _ in got)
+
+
+def test_tree_permutations_match_crossing_words_random():
+    rnd = random.Random(23)
+    for n_min, n_max, L in ((2, 4, 40.0), (5, 8, 30.0), (8, 20, 20.0),
+                            (20, 40, 12.0), (40, 60, 9.0), (60, 60, 6.5)):
+        tree_permutations(random_transitive_origami(rnd, n_min, n_max), L)
+
+
+def test_tree_permutations_at_exact_norm_bounds():
+    o = build_origami(5, [2, 3, 1, 5, 4], [4, 1, 5, 3, 2])
+    for k in range(1, 90):
+        root = math.sqrt(k)
+        for L in (root, math.nextafter(root, 0.0), math.nextafter(root, math.inf)):
+            tree_permutations(o, L)
+
+
+def test_tree_permutations_below_and_at_unit_bound():
+    for L in (0, 0.0, 0.5, math.nextafter(1.0, 0.0)):
+        assert list(_return_permutations(L3, L)) == []
+        assert saddle_connections(L3, L) == []
+    assert tree_permutations(L3, 1.0) == {(1, 0): [1, 0, 2], (0, 1): [2, 1, 0]}
+
+
+def test_saddle_connection_is_frozen_and_slotted():
+    sc = SaddleConnection(0, 1, complex(2, 1))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        sc.start = 1
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        sc.holonomy = 1j
+    assert not hasattr(sc, "__dict__")
+    assert not hasattr(saddle_connections(L3, 1.0)[0], "__dict__")
+
+
+def test_saddle_connection_value_semantics():
+    sc = SaddleConnection(0, 1, complex(2, 1))
+    assert sc == SaddleConnection(0, 1, complex(2, 1))
+    assert hash(sc) == hash(SaddleConnection(0, 1, complex(2, 1)))
+    assert sc != SaddleConnection(1, 0, complex(2, 1))
+    assert sc != SaddleConnection(0, 1, complex(2, -1))
+    assert repr(sc) == "SaddleConnection(start=0, end=1, holonomy=(2+1j))"
+    assert sc.reversed() == SaddleConnection(1, 0, complex(-2, -1))
+    assert repr(sc.reversed()) == "SaddleConnection(start=1, end=0, holonomy=(-2-1j))"
+    assert sc.length == math.sqrt(5)
+    for clone in (pickle.loads(pickle.dumps(sc)), copy.copy(sc), copy.deepcopy(sc)):
+        assert clone == sc and hash(clone) == hash(sc) and repr(clone) == repr(sc)
+
+
+def test_saddle_connection_rejects_zero_holonomy():
+    with pytest.raises(ValueError, match="nonzero"):
+        SaddleConnection(0, 0, 0j)
+    with pytest.raises(ValueError, match="nonzero"):
+        _append_connections([], 0j, [(0, 0)])
+
+
+def test_census_connections_equal_constructed_ones():
+    census = saddle_connections(data.origami("grid_3x2_6"), 3.0)
+    rebuilt = [SaddleConnection(sc.start, sc.end, sc.holonomy) for sc in census]
+    assert census == rebuilt
+    assert [hash(sc) for sc in census] == [hash(sc) for sc in rebuilt]
+    assert [repr(sc) for sc in census] == [repr(sc) for sc in rebuilt]
+    assert pickle.loads(pickle.dumps(census)) == census
 
 
 # ---------------------------------------------------------------------------
