@@ -336,7 +336,8 @@ def _return_permutation(origami, p, q):
 
 def _return_permutations(origami, max_length):
     """Yield (p, q, R) for every primitive upper direction (p, q) with
-    p**2 + q**2 <= max_length**2, R equal to _return_permutation(origami, p, q).
+    p**2 + q**2 <= max_length**2, R holding the entries of
+    _return_permutation(origami, p, q).
 
     The crossing word of (a, b), a, b >= 1, is a Christoffel word; its
     standard factorization is the product of the words of its Stern-Brocot
