@@ -408,12 +408,36 @@ def saddle_connections(origami, max_length=DEFAULT_LENGTH_BOUND):
     return out
 
 
+def _lattice_points(k):
+    """Nonzero integer vectors (p, q) with p**2 + q**2 <= k."""
+    r = math.isqrt(k)
+    return 2 * r + 2 * sum(2 * math.isqrt(k - q * q) + 1 for q in range(1, r + 1))
+
+
+def _moebius(n):
+    """The Moebius function mu(d) for 0 <= d <= n (mu(0) unused), by a sieve."""
+    mu = [1] * (n + 1)
+    composite = bytearray(n + 1)
+    for p in range(2, n + 1):
+        if not composite[p]:
+            composite[p * p::p] = b"\x01" * len(range(p * p, n + 1, p))
+            mu[p::p] = [-x for x in mu[p::p]]
+            mu[p * p::p * p] = [0] * len(range(p * p, n + 1, p * p))
+    return mu
+
+
 def saddle_connection_count(origami, max_length=DEFAULT_LENGTH_BOUND):
     """Number of oriented saddle connections with |holonomy| <= max_length,
     equal to len(saddle_connections(origami, max_length)) without building
-    them: each primitive upper direction carries one connection per square,
-    and each is mirrored once."""
-    return 2 * origami.n * len(_primitive_upper_directions(max_length))
+    them: each primitive vector of norm at most m = floor(max_length**2)
+    carries one connection per square, and by Moebius inversion there are
+    sum_d mu(d) N(m // d**2) of them, with N(k) the nonzero lattice points
+    of norm at most k.  That takes O(L log L) integer square roots for
+    L = max_length."""
+    m = _norm_bound(max_length)
+    mu = _moebius(math.isqrt(m))
+    return origami.n * sum(mu[d] * _lattice_points(m // (d * d))
+                           for d in range(1, len(mu)) if mu[d])
 
 
 @dataclass(frozen=True)

@@ -16,13 +16,18 @@ the branching index.  ``smoothness_report`` certifies that the distance
 is a smooth function of t**(1/K) by polynomial fitting in the
 reparametrized variable.
 
-All objects are immutable and every function is pure; the tracker and
-the sampler each solve all their points in one stacked numpy call.
+All objects are immutable and every function is pure.  The sampler
+solves all its points in one stacked numpy call, and so does each round
+of the monodromy tracker, which bisects only the steps it cannot yet
+prove to follow the branches.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from types import SimpleNamespace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -58,8 +63,12 @@ __all__ = [
 BALL_MARGIN = 1e-12
 SMOOTHNESS_SAMPLES = 64  # distance samples on [0, epsilon] per report
 FIT_DEGREE = 8           # degree of both residual fits
-COLLISION_TOL = 1e-8     # tracked roots closer than this count as merged
-MONODROMY_STEPS = 512    # steps around the tracking circle
+COLLISION_TOL = 1e-8     # fixed grid: tracked roots closer than this count as merged
+CERTIFIED_STEPS = 16     # first grid of the certified tracker
+CERTIFIED_GRID = 4096    # finest grid it may bisect a step down to
+_UNIT_ROUNDOFF = 2.0 ** -53
+_SLACK = 1.0 + 2.0 ** -40  # covers the few roundings of a bound's last products
+_UNDERFLOW = 2.0 ** -1060  # absolute floor of the perturbation bound: covers underflow
 
 
 class OnOrOutsideBoundary(ValueError):
@@ -480,13 +489,15 @@ def _values_at(polys, ts):
     return re + 1j * im
 
 
-def _roots_at(P, ts):
+def _roots_at(P, ts, values=None):
     """Roots of y -> P(t, y) for every t of ts, one row per t, equal to
     np.roots(list(reversed(P.eval_t(t)))) bit for bit: one eigvals call
     solves the companion matrices np.roots builds.  np.roots strips zero end
     coefficients, so such rows go through it; short rows end in NaN, and a
-    row with a non-finite value (where np.roots raises) is all NaN."""
-    coeffs = _values_at(P.coeffs[::-1], ts)
+    row with a non-finite value (where np.roots raises) is all NaN.  A
+    caller that has the coefficient rows (highest power first) to any
+    accuracy it can answer for passes them as values instead."""
+    coeffs = _values_at(P.coeffs[::-1], ts) if values is None else values
     m = P.degree_y
     roots = np.full((len(coeffs), m), np.nan, dtype=complex)
     finite = np.isfinite(coeffs).all(axis=1)
@@ -510,8 +521,29 @@ def _nearest_match(roots, fresh, where):
     return match
 
 
+def _top_cycle_length(start, perm):
+    """Length of the cycle of perm through the top branch at t = radius: the
+    root of start with the largest real part, then imaginary part."""
+    selected = int(np.lexsort((-start.imag, -start.real))[0])
+    length = 1
+    k = perm[selected]
+    while k != selected:
+        k = perm[k]
+        length += 1
+    return length
+
+
+def _compose(matches, m):
+    """Where each of m roots ends after the step matches, taken in order."""
+    tracked = list(range(m))
+    for match in matches:
+        tracked = [match[k] for k in tracked]
+    return tracked
+
+
 def _track_top_branch(P, radius, steps):
-    """Cycle length of the top branch under analytic continuation around 0.
+    """Cycle length of the top branch under analytic continuation around 0,
+    on a fixed grid of steps.
 
     One _roots_at call solves all steps on |t| = radius; each tracked root
     moves to its nearest root at the next step, which does not depend on
@@ -535,39 +567,265 @@ def _track_top_branch(P, radius, steps):
         if shared[j]:
             raise BranchPointOnCircle(f"two roots share their nearest root at step {j + 1}")
         raise BranchPointOnCircle(f"root collision within {COLLISION_TOL} at step {j + 1}")
-    tracked = list(range(m))
-    for match in nearest.tolist():
-        tracked = [match[k] for k in tracked]
+    tracked = _compose(nearest.tolist(), m)
     # match the final configuration back to the start to read the permutation
     perm = _nearest_match(roots[-1][tracked], roots[0], "when closing the loop")
-    selected = int(np.lexsort((-roots[0].imag, -roots[0].real))[0])
-    # cycle length through the selected branch
-    length = 1
-    k = perm[selected]
-    while k != selected:
-        k = perm[k]
-        length += 1
-    return length
+    return _top_cycle_length(roots[0], perm)
+
+
+def _powers(x, degree):
+    """x**0 .. x**degree along a new first axis, as running products."""
+    powers = np.empty((degree + 1,) + np.shape(x), dtype=np.result_type(x))
+    powers[0] = 1
+    if degree:
+        powers[1] = x
+    for k in range(1, degree):
+        powers[k + 1] = powers[k] * x
+    return powers
+
+
+@functools.cache
+def _taylor_layout(degree, m):
+    """The parts of _taylor_maps that depend on the degrees alone; ``where``
+    reads zeros from a row and column past the ends of the coefficients."""
+    top = max(degree, m)
+    binom = np.array([[math.comb(r, c) for c in range(top + 1)]
+                      for r in range(2 * top + 1)], dtype=float)
+    a, b, i, k = np.ix_(*(range(n) for n in (degree + 1, m + 1, degree + 1, m + 1)))
+    substitute = binom[np.add.outer(np.arange(m + 1), np.arange(m + 1)), np.arange(m + 1)]
+    return SimpleNamespace(
+        where=(np.minimum(k + b, m + 1), np.minimum(i + a, degree + 1)),
+        weights=binom[i + a, a] * binom[k + b, b], substitute=substitute[:, :, None],
+        apart=np.diag(np.full(m, np.inf)), eye=np.eye(m))
+
+
+def _taylor_maps(P, radius):
+    """What the certified tracker needs of P once per circle |t| = radius.
+
+    With step the chord of the first grid, which no step of the tracker
+    exceeds, and A[k, i] the coefficient of t**i y**k in P, the coefficient
+    of s**a u**b in P(t + step s, z + u) is the sum over i, k of
+    A[k + b, i + a] binom(i + a, a) binom(k + b, b) step**a t**i z**k:
+    ``taylor`` maps the monomials t**i z**k (index i * (m + 1) + k) to
+    those coefficients (index a * (m + 1) + b), and ``coeffs`` holds the
+    A[k, i] by descending k.  The same sum over absolute values is
+    |P|(|t| + step s, |z| + u), with |P| the polynomial of the |A|; ``scales``
+    holds its y-coefficients at |t| = radius and radius + step.  ``gamma``
+    bounds the relative rounding of each Taylor coefficient, with room to
+    spare, through the predictor substitution that follows;
+    ``substitute[e, b]`` is binom(b + e, e), ``apart`` the m x m zero
+    matrix with infinity on its diagonal and ``eye`` the identity.
+    """
+    m = P.degree_y
+    degree = max(1, *(len(c.num) - 1 for c in P.coeffs))
+    coeffs = np.zeros((m + 2, degree + 2), dtype=complex)
+    for k, c in enumerate(P.coeffs):
+        coeffs[k, :len(c.num)] = c.complex_coeffs()
+    layout = _taylor_layout(degree, m)
+    size = (degree + 1) * (m + 1)
+    step = 2 * radius * math.sin(math.pi / CERTIFIED_STEPS) * _SLACK
+    moduli = np.array([radius, radius + step]) * (1 + 4 * _UNIT_ROUNDOFF)
+    return SimpleNamespace(
+        m=m, degree=degree, step=step, substitute=layout.substitute, apart=layout.apart,
+        eye=layout.eye, coeffs=coeffs[m::-1, :degree + 1],
+        taylor=(coeffs[layout.where] * layout.weights
+                * _powers(step, degree)[:, None, None, None]).reshape(size, size),
+        scales=(_powers(moduli, degree).T @ np.abs(coeffs[:m + 1, :degree + 1]).T)[:, :, None],
+        gamma=4 * (size + 3 * (degree + m) + 8) * _UNIT_ROUNDOFF)
+
+
+class _CirclePoints(NamedTuple):
+    """Per-point data of the certified tracker, one row per point; see
+    _circle_points."""
+
+    roots: np.ndarray
+    radii: np.ndarray
+    rho: np.ndarray
+    floor: np.ndarray
+    slope: np.ndarray
+    perturbation: np.ndarray
+    t: np.ndarray
+
+
+def _circle_points(P, maps, ts):
+    """What the certified tracker needs of each point t of ts:
+
+    * z, the roots of P(t, .) from _roots_at, of the coefficients at t as
+      sums of A[k, i] t**i;
+    * R, radii of disks about them that each hold exactly one exact root
+      (Weierstrass corrections W with Carstensen's Gerschgorin disks, so
+      R = m |W| if the disks are disjoint);
+    * rho, a third of each root's distance to the nearest other root;
+    * the Rouche floor: a lower bound on |P(t, z + w)| over |w| = rho;
+    * z' = -P_t / P_y at (t, z), the predictor of a step;
+    * the perturbation bound: coefficients of x, x**2, ... in
+      sum |G_ab| x**a rho**b, where G are the Taylor coefficients of
+      P(t + step s, z + z' step s + w) - P(t, z + w) in (s, w) and x bounds
+      |s|; the s-linear term cancels in complex arithmetic before absolute
+      values are taken.
+
+    Each computed value carries a Horner rounding bound: gamma times the
+    same sum over absolute values (maps is from _taylor_maps), which for
+    P(t, z) is at most |P|(|t|, |z| + rho).  For the G those sums add up to
+    |P|(|t| + step x, |z| + |z'| step x + rho) minus |P|(|t|, |z| + rho),
+    taken at x = 1 and scaled down linearly in x; _UNDERFLOW covers the
+    products that underflow.  A floor that is not positive means the roots
+    are not certified apart.  The Taylor arrays run over the roots of all
+    points in their last axis.
+    """
+    m, degree, gamma = maps.m, maps.degree, maps.gamma
+    t_powers = _powers(ts, degree)
+    roots = _roots_at(P, ts, (maps.coeffs @ t_powers).T)
+    n = len(ts)
+    z = roots.ravel()
+    monomials = t_powers[:, None, :, None] * _powers(roots, m)
+    # taylor[a, b]: coefficient of s**a u**b in P(t + step s, z + u)
+    taylor = (maps.taylor @ monomials.reshape(-1, n * m)).reshape(degree + 1, m + 1, n * m)
+    dist = np.abs(roots[:, :, None] - roots[:, None, :])
+    diagonal = np.arange(m)
+    rho = (dist + maps.apart).min(axis=2) / 3
+    shift = -taylor[1, 0] / taylor[0, 1]             # z' step
+    # |P| at (|t|, |z| + rho) and at (|t| + step, |z| + |z'| step + rho)
+    near = np.abs(z) + rho.ravel()
+    moduli = np.stack([near, near + np.abs(shift)])
+    scale = maps.scales[:, m]
+    for k in range(m - 1, -1, -1):
+        scale = scale * moduli + maps.scales[:, k]
+    low, high = scale
+    lead = np.maximum(np.abs(taylor[0, m, ::m]) - gamma * maps.scales[0, m], 0)[:, None]
+    value = (np.abs(taylor[0, 0]) + gamma * low).reshape(n, m)
+    radii = (m * _SLACK) * value / (lead * (dist + maps.eye).prod(axis=2))
+    # |y - zeta_j| >= rho - R_j and |y - zeta_k| >= |z_j - z_k| - rho - R_k
+    factors = dist - rho[:, :, None] - radii[:, None, :]
+    factors[:, diagonal, diagonal] = rho - radii
+    floor = lead * np.maximum(factors, 0).prod(axis=2) / _SLACK
+    # substitute u = z' step s + w: the term s**a u**(b + e) gives
+    # binom(b + e, e) (z' step)**e s**(a + e) w**b
+    terms = _powers(shift, m)[:, None] * maps.substitute
+    g = np.zeros((degree + m + 1, m + 1, n * m), dtype=complex)
+    for e in range(m + 1):
+        g[e:e + degree + 1, :m + 1 - e] += taylor[:, e:] * terms[e, :m + 1 - e]
+    bound = np.abs(g[1:])
+    perturbation = bound[:, m]
+    flat_rho = rho.ravel()
+    for b in range(m - 1, -1, -1):                       # Horner in rho
+        perturbation = perturbation * flat_rho + bound[:, b]
+    perturbation[0] += gamma * (high - low + gamma * (high + low))
+    perturbation += _UNDERFLOW
+    return _CirclePoints(roots, radii, rho, floor, (shift / maps.step).reshape(n, m),
+                         perturbation.reshape(-1, n, m).swapaxes(0, 1), ts)
+
+
+def _certify_steps(points, first, last, step):
+    """Which steps from the _circle_points rows first to the rows last are
+    proved to follow the branches, and the match of each; no step is
+    longer than step.
+
+    A step t -> t + s is proved for root z when the perturbation bound at
+    x = |s| / step stays below the Rouche floor: then for every |s'| <= |s|
+    the disk of radius rho about z + z' s' holds exactly one root of
+    P(t + s', .), so the branch through z is the one root in that moving
+    disk all along the step.  It is matched to the fresh root whose
+    inclusion disk lies inside the predicted disk about z + z' s; the step
+    is accepted when every root is proved and the matches form a bijection.
+    """
+    roots, rho, floor, slope, perturbation, t = (
+        a[first] for a in (points.roots, points.rho, points.floor, points.slope,
+                           points.perturbation, points.t))
+    fresh, fresh_radii = points.roots[last], points.radii[last]
+    s = (points.t[last] - t)[:, None]
+    x = np.abs(s).max() * (1 + 4 * _UNIT_ROUNDOFF) / step
+    change = x ** np.arange(1, perturbation.shape[1] + 1) @ perturbation
+    proved = (change * _SLACK < floor).all(axis=1)
+    shift = slope * s
+    centres = roots + shift
+    reach = rho - 4 * _UNIT_ROUNDOFF * (np.abs(roots) + 2 * np.abs(shift))
+    inside = (np.abs(fresh[:, None, :] - centres[:, :, None]) + fresh_radii[:, None, :]
+              < reach[:, :, None])
+    match = inside.argmax(axis=2)
+    bijective = (np.sort(match, axis=1) == np.arange(roots.shape[1])).all(axis=1)
+    return proved & (inside.sum(axis=2) == 1).all(axis=1) & bijective, match
+
+
+def _grid_step(position):
+    """'k of n' for a point of the certified grid, on the coarsest grid
+    holding it."""
+    n = max(CERTIFIED_STEPS, CERTIFIED_GRID // math.gcd(position, CERTIFIED_GRID))
+    return f"{position * n // CERTIFIED_GRID} of {n}"
+
+
+def _track_certified(P, radius):
+    """Cycle length of the top branch under analytic continuation around 0,
+    on a certified adaptive grid.
+
+    One _roots_at call solves a grid of CERTIFIED_STEPS steps on
+    |t| = radius, and _certify_steps tests every step; only the steps that
+    fail are bisected, each round solving all new midpoints in one stacked
+    _roots_at call.  A point whose roots are not certified apart raises
+    BranchPointOnCircle at once, and so does a step still unproved at the
+    finest grid, CERTIFIED_GRID steps.  The accepted steps' matches follow
+    the branches along the polygon through the grid points, which lies
+    inside the circle and around 0 alone, so they compose to the
+    monodromy permutation.  Returns the cycle length of the branch
+    starting at the root with the largest real part at t = radius.
+    """
+    m = P.degree_y
+    if m == 1:
+        return 1
+    maps = _taylor_maps(P, radius)
+    first = np.arange(0, CERTIFIED_GRID, CERTIFIED_GRID // CERTIFIED_STEPS)
+    last = first + CERTIFIED_GRID // CERTIFIED_STEPS
+    new = first
+    points = None
+    row = np.empty(CERTIFIED_GRID, dtype=int)        # row of points by grid position
+    accepted_first, accepted_match = [], []
+    with np.errstate(all="ignore"):
+        while len(first):
+            batch = _circle_points(P, maps, radius * np.exp(2j * np.pi / CERTIFIED_GRID * new))
+            apart = (batch.floor > 0).all(axis=1)
+            if not apart.all():
+                raise BranchPointOnCircle(
+                    f"cannot separate the roots at step {_grid_step(new[~apart].min())}")
+            if points is None:
+                points = batch
+            else:
+                points = _CirclePoints(*map(np.concatenate, zip(points, batch)))
+            row[new] = np.arange(len(points.t) - len(new), len(points.t))
+            accepted, match = _certify_steps(points, row[first], row[last % CERTIFIED_GRID],
+                                             maps.step)
+            accepted_first.append(first[accepted])
+            accepted_match.append(match[accepted])
+            first, last = first[~accepted], last[~accepted]
+            if len(first) and (last - first).min() == 1:
+                raise BranchPointOnCircle(f"cannot certify step "
+                                          f"{last[last - first == 1].min()} of {CERTIFIED_GRID}")
+            new = (first + last) // 2
+            first, last = np.concatenate([first, new]), np.concatenate([new, last])
+    order = np.argsort(np.concatenate(accepted_first))
+    perm = _compose(np.concatenate(accepted_match)[order].tolist(), m)
+    return _top_cycle_length(points.roots[0], perm)
 
 
 def monodromy_index(P, epsilon):
     """Monodromy branch index of the top branch around |t| = r, with r the
     least of 0.01, epsilon / 4 and half the nearest nonzero branch point:
     one exact discriminant picks r, and by construction the circle encloses
-    and touches no branch point other than 0."""
+    and touches no branch point other than 0.  Tracked on the certified
+    grid."""
     if not 0 < epsilon < math.inf:
         raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
     radius = min(0.01, epsilon / 4.0, 0.5 * _nearest_branch_point(P))
-    return _track_top_branch(P, radius, MONODROMY_STEPS)
+    return _track_certified(P, radius)
 
 
-def monodromy_branch_index(P, radius, steps=MONODROMY_STEPS):
+def monodromy_branch_index(P, radius, steps=None):
     """Monodromy branch index of the top branch around |t| = radius, after
     checking through the exact discriminant that the circle encloses and
-    touches no branch point other than 0."""
+    touches no branch point other than 0.  Tracked on the certified grid,
+    or on a fixed grid of the given number of steps."""
     if not 0 < radius < math.inf:
         raise ValueError(f"radius must be positive and finite, got {radius}")
-    if steps < 1:
+    if steps is not None and steps < 1:
         raise ValueError(f"steps must be at least 1, got {steps}")
     if P.degree_y < 1:
         raise ValueError("P must depend on the eigenvalue variable")
@@ -577,6 +835,8 @@ def monodromy_branch_index(P, radius, steps=MONODROMY_STEPS):
             f"branch point at |t| = {closest:.6g} lies within the circle "
             f"of radius {radius}"
         )
+    if steps is None:
+        return _track_certified(P, radius)
     return _track_top_branch(P, radius, steps)
 
 

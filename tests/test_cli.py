@@ -2,6 +2,10 @@ import hashlib
 import importlib.util
 import json
 import math
+import os
+import re
+import subprocess
+import sys
 import warnings
 from collections import Counter
 from pathlib import Path
@@ -18,6 +22,7 @@ TORUS_PATH = data.data_path("origamis", "torus")
 DIAG_PATH = data.data_path("paths", "diagonal_radial")
 ESCAPE_PATH = data.data_path("paths", "escape_diagonal")
 SQRT_POLY = data.data_path("charpolys", "sqrt_branch")
+SHEAR_PATH = data.data_path("paths", "shear_mix")
 
 
 def run(capsys, *argv):
@@ -272,3 +277,27 @@ def test_horocycle_non_finite_twist_exits_one(capsys, value):
     assert (code, out) == (1, "")
     assert err.startswith("error: ") and "theta_twist" in err
     assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("epsilon", ["1e-30", "1e-300"])
+@pytest.mark.parametrize("source", [
+    ["--charpoly", "--path", SQRT_POLY],
+    ["--charpoly", "--path", data.data_path("charpolys", "shifted_double_root")],
+    ["--path", SHEAR_PATH],
+])
+def test_smoothness_at_tiny_epsilon_certifies_or_names_the_step(source, epsilon):
+    # a fresh process with a deadline: either both oracles agree, or the
+    # monodromy tracker names the step it could not certify
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys; from rigidity.cli import main; sys.exit(main())",
+         "smoothness", *source, "--epsilon", epsilon],
+        capture_output=True, text=True, timeout=2, env=env)
+    if proc.returncode == 0:
+        payload = json.loads(proc.stdout)
+        assert payload["monodromy_K"] == payload["newton_puiseux_K"]
+    else:
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert re.fullmatch(r"error: .*\bstep \d+ of \d+\n", proc.stderr)

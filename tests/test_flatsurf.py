@@ -1,10 +1,13 @@
 import copy
 import dataclasses
+import importlib.util
 import math
 import pickle
 import random
+import time
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -455,6 +458,34 @@ def test_primitive_directions_match_brute_force():
               + [0, 7, Fraction(7, 3), Fraction(10 ** 6 + 1, 10 ** 5)])
     for L in bounds:
         assert _primitive_upper_directions(L) == brute_force_directions(L), L
+
+
+def test_connection_count_equals_the_benchmark_primitive_count():
+    # the Moebius sum against perfbench's count over the whole disk, and
+    # against one histogram of primitive norms up to 200**2
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_gen", Path(__file__).resolve().parents[1] / "perfbench" / "gen.py")
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    for L in list(range(41)) + [50, 75, 100, 150, 200]:
+        assert saddle_connection_count(TORUS, L) == gen.primitive_count(L), L
+    norms = Counter(a * a + b * b for a in range(-200, 201) for b in range(-200, 201)
+                    if math.gcd(a, b) == 1)
+    below = [0]
+    for k in range(200 * 200 + 1):
+        below.append(below[-1] + norms[k])
+    for k in [*range(3000), *range(3000, 200 * 200 + 1, 53)]:
+        bound = math.sqrt(k)   # the count runs to norm floor(bound**2), k or k - 1
+        assert saddle_connection_count(TORUS, bound) == below[math.floor(bound * bound) + 1], k
+    assert saddle_connection_count(data.origami("stair_4"), 200) == 4 * below[-1]
+
+
+def test_connection_count_at_a_large_bound_is_quick():
+    start = time.perf_counter()
+    count = saddle_connection_count(TORUS, 10_000)
+    assert time.perf_counter() - start < 2.0
+    # the primitive vectors fill the disk with density 6 / pi**2
+    assert abs(count / (6 / math.pi * 10_000 ** 2) - 1) < 1e-4
 
 
 @pytest.mark.parametrize("bound", [math.nan, math.inf, -1.0, -1])

@@ -455,12 +455,16 @@ def test_monodromy_rejects_repeated_factor():
         monodromy_branch_index(biv([0, 0, 1], [0, -2], [1]), 0.01)  # (y - t)^2
 
 
-def test_monodromy_rejects_shared_nearest_root():
+def test_monodromy_rejects_shared_nearest_root(monkeypatch):
     # (y - 100 t)(y - 1) at radius 0.009, inside its branch point t = 1/100:
     # in three steps the root 100 t swings from 0.9 to 0.9 e^{2 pi i / 3},
-    # so both roots at step 1 are nearest to the fixed root 1
+    # so both roots at step 1 are nearest to the fixed root 1.  The
+    # certified tracker instead bisects the steps of its first grid, in
+    # which the root moves 0.35, more than the gap 0.1 to the root 1
+    solved = recording(monkeypatch, "_roots_at")
     P = biv([0, 100], [-1, -100], [1])
     assert monodromy_branch_index(P, 0.009) == 1
+    assert 16 < sum(len(args[1]) for args, _ in solved) <= 256
     with pytest.raises(BranchPointOnCircle, match="nearest root at step 1"):
         monodromy_branch_index(P, 0.009, steps=3)
 
@@ -485,8 +489,8 @@ def test_nearest_match_is_the_optimal_assignment():
 
 
 def test_monodromy_matches_equal_the_optimal_assignment(monkeypatch):
-    # every matching made while tracking the bundled and test polynomials:
-    # one argmin over all steps, then one closing match
+    # every matching made while tracking the bundled and test polynomials on
+    # the fixed grid: one argmin over all steps, then one closing match
     optimize = pytest.importorskip("scipy.optimize")
     original = np.argmin
     seen = []
@@ -505,7 +509,7 @@ def test_monodromy_matches_equal_the_optimal_assignment(monkeypatch):
     polys += [SQRT_BRANCH, SHIFTED, ANALYTIC, biv([2], [-3], [1]),
               biv([0, 0, 0, 1], [], [], [1])]                  # y^3 + t^3
     for P in polys:
-        monodromy_branch_index(P, 0.005)
+        monodromy_branch_index(P, 0.005, steps=512)
     assert len(seen) == len(polys) * 513
 
 
@@ -702,7 +706,7 @@ def test_monodromy_branch_index_rejects_no_steps():
 
 def tracking_radius(monkeypatch):
     """monodromy_index with the tracker replaced by the radius it is handed."""
-    monkeypatch.setattr(symdom, "_track_top_branch", lambda P, radius, steps: radius)
+    monkeypatch.setattr(symdom, "_track_certified", lambda P, radius: radius)
     return monodromy_index
 
 
@@ -716,13 +720,13 @@ def test_monodromy_radius(monkeypatch):
 
 def test_monodromy_index_equals_branch_index_at_its_radius(monkeypatch):
     radii = []
-    original = symdom._track_top_branch
+    original = symdom._track_certified
 
-    def recording(P, radius, steps):
+    def recording(P, radius):
         radii.append(radius)
-        return original(P, radius, steps)
+        return original(P, radius)
 
-    monkeypatch.setattr(symdom, "_track_top_branch", recording)
+    monkeypatch.setattr(symdom, "_track_certified", recording)
     polys = [data.charpoly(name) for name in data.charpoly_names()]
     polys += [SQRT_BRANCH, SHIFTED, ANALYTIC, biv([2], [-3], [1]),
               biv([0, 0, 0, 1], [], [], [1]),                  # y^3 + t^3
@@ -764,6 +768,137 @@ def test_oracle_agreement_on_random_quadratics():
             continue
         assert k_polygon == k_loop
         checked += 1
+
+
+# ---------------------------------------------------------------------------
+# certified tracker
+# ---------------------------------------------------------------------------
+
+def tracker_k(P, radius, steps=None):
+    try:
+        return monodromy_branch_index(P, radius, steps=steps)
+    except BranchPointOnCircle:
+        return None
+
+
+def test_certified_tracker_equals_fixed_grid(oracle_polys):
+    # the default certified grid against 512 fixed steps at the same radius
+    compared = 0
+    for P in oracle_polys:
+        certified = tracker_k(P, 0.005)
+        fixed = tracker_k(P, 0.005, steps=512)
+        if certified is not None and fixed is not None:
+            assert certified == fixed
+            compared += 1
+    assert compared >= len(oracle_polys) - 3
+
+
+def test_certified_matches_are_optimal_and_inside_their_disks(monkeypatch, oracle_polys):
+    # every accepted step: its match is the optimal assignment of the
+    # predicted centres z + z' s to the fresh roots, and each fresh root's
+    # inclusion disk lies inside its predicted disk of radius rho
+    optimize = pytest.importorskip("scipy.optimize")
+    original = symdom._certify_steps
+    accepted_steps = []
+
+    def checked(points, first, last, step):
+        accepted, match = original(points, first, last, step)
+        s = (points.t[last] - points.t[first])[:, None]
+        centres = points.roots[first] + points.slope[first] * s
+        for ok, row, centre, fresh, radii, rho in zip(
+                accepted, match, centres, points.roots[last], points.radii[last],
+                points.rho[first]):
+            if ok:
+                dist = np.abs(centre[:, None] - fresh[None, :])
+                assert list(row) == list(optimize.linear_sum_assignment(dist)[1])
+                assert (dist[np.arange(len(row)), row] + radii[row] < rho).all()
+                accepted_steps.append(row)
+        return accepted, match
+
+    monkeypatch.setattr(symdom, "_certify_steps", checked)
+    tracked = sum(tracker_k(P, 0.005) is not None for P in oracle_polys)
+    assert tracked >= len(oracle_polys) - 3
+    assert len(accepted_steps) >= symdom.CERTIFIED_STEPS * tracked
+
+
+def test_certified_tracker_at_tiny_radii():
+    # y^2 - t keeps its roots +-sqrt(t) apart in floating point down to the
+    # radius the CLI takes for epsilon = 1e-300
+    assert symdom._track_certified(SQRT_BRANCH, 2.5e-301) == 2
+    # at radius 1e-20 the roots 1/4 +- sqrt(t)/2 of shifted_double_root are
+    # 1e-10 apart, but rounding the coefficients moves them by as much: the
+    # tracker must not merge them into one branch
+    P = data.charpoly("shifted_double_root")
+    for radius in (1e-20, 1e-12, 1e-8):
+        try:
+            assert monodromy_branch_index(P, radius) == 2
+        except BranchPointOnCircle as exc:
+            assert re.search(r"step \d+ of \d+", str(exc))
+
+
+LAMBDAS = ("5/8", "3/8", "1/8", "-1/4")
+
+
+def factor_terms(lam, b, s, q, a, p):
+    """(y - lam - b t**s)**q - a t**p as {(t power, y power): Fraction}, with
+    a > 0 for even q so that the factor has real roots for small t > 0."""
+    a = abs(a) if q % 2 == 0 else a
+    base = {(0, 1): Fraction(1), (0, 0): -Fraction(lam)}
+    base[(s, 0)] = base.get((s, 0), 0) - b
+    out = {(0, 0): Fraction(1)}
+    for _ in range(q):
+        out = terms_product(out, base)
+    out[(p, 0)] = out.get((p, 0), 0) - a
+    return out
+
+
+def terms_product(x, y):
+    out = {}
+    for (i1, j1), c1 in x.items():
+        for (i2, j2), c2 in y.items():
+            out[(i1 + i2, j1 + j2)] = out.get((i1 + i2, j1 + j2), 0) + c1 * c2
+    return out
+
+
+_factors = st.tuples(
+    st.sampled_from(LAMBDAS),
+    st.sampled_from([Fraction(k, 8) for k in range(-2, 3)]),   # b
+    st.integers(1, 2),                                          # s
+    st.integers(1, 3),                                          # q
+    st.sampled_from([Fraction(k, 16) for k in (-3, -2, -1, 1, 2, 3)]),  # a
+    st.integers(1, 4),                                          # p
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(_factors, min_size=1, max_size=3, unique_by=lambda f: f[0]).filter(
+    lambda fs: 2 <= sum(f[3] for f in fs) <= 5))
+@example([("5/8", Fraction(1, 8), 1, 2, Fraction(1, 16), 3),
+          ("3/8", Fraction(0), 1, 2, Fraction(1, 8), 1)])
+@example([("5/8", Fraction(0), 1, 3, Fraction(1, 16), 2),
+          ("1/8", Fraction(1, 4), 2, 1, Fraction(-1, 8), 1)])
+@example([("3/8", Fraction(-1, 8), 1, 2, Fraction(1, 8), 3),
+          ("5/8", Fraction(1, 8), 1, 3, Fraction(-1, 16), 4)])
+def test_certified_tracker_on_products_of_branch_factors(factors):
+    # products of (y - lam - b t**s)**q - a t**p of y-degree 2 to 5 with
+    # distinct lam, so that the top eigenvalue is real for small t > 0, as
+    # for the charpoly of a Hermitian path: where no oracle raises, the
+    # certified K is the 512-step K and the polygon K
+    terms = {(0, 0): Fraction(1)}
+    for factor in factors:
+        terms = terms_product(terms, factor_terms(*factor))
+    deg_t = max(i for i, _ in terms)
+    P = BivariatePolynomial([
+        RationalPoly([terms.get((i, j), 0) for i in range(deg_t + 1)])
+        for j in range(max(j for _, j in terms) + 1)])
+    try:
+        radius = min(0.005, 0.5 * symdom._nearest_branch_point(P))
+        polygon = newton_puiseux_index(P).K
+        fixed = monodromy_branch_index(P, radius, steps=512)
+        certified = monodromy_branch_index(P, radius)
+    except (PuiseuxError, BranchPointOnCircle, DegenerateAtZero):
+        return
+    assert certified == fixed == polygon
 
 
 # ---------------------------------------------------------------------------
