@@ -37,7 +37,6 @@ __all__ = [
     "BallPoint",
     "BoundaryPoint",
     "BallIsometry",
-    "GeodesicRay",
     "RealGeodesic",
     "Step2Result",
     "distance",
@@ -190,30 +189,6 @@ def random_isometry(rng, scale=0.8):
     hermitian = (h + h.conj().T) / 2
     generator = _J @ (1j * scale * hermitian)
     return BallIsometry(_expm(generator))
-
-
-@dataclass(frozen=True)
-class GeodesicRay:
-    """Unit-speed ray t -> iso(tanh t, 0) for t >= 0."""
-
-    iso: BallIsometry
-
-    def point(self, t):
-        return self.iso(BallPoint(math.tanh(t), 0.0))
-
-    @property
-    def base(self):
-        return self.iso(BallPoint(0.0, 0.0))
-
-    @property
-    def endpoint(self):
-        return self.iso(BoundaryPoint(1.0, 0.0))
-
-    def level(self, p):
-        """Horocycle level of p for this ray: e^{t_p} with t_p the asymptotic
-        time, normalized so that level(point(t)) = e^{t}."""
-        xi = self.endpoint
-        return horocycle_level(xi, p) / horocycle_level(xi, self.base)
 
 
 def busemann(xi, p):

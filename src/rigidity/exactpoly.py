@@ -247,9 +247,6 @@ class RationalPoly:
             return RationalPoly._make(((x, 0),) if x else (), 1)
         return RationalPoly.constant(x)
 
-    def scale(self, c):
-        return self * RationalPoly.constant(c)
-
     def conjugate(self):
         """Coefficient-wise conjugation (adjoint of the values at real t)."""
         return RationalPoly._make([(re, -im) for re, im in self.num], self.den)

@@ -39,7 +39,6 @@ __all__ = [
     "Cylinder",
     "CylinderDecomposition",
     "FlatMulticurve",
-    "FlowedFoliation",
     "ProfileExtrema",
     "build_origami",
     "load_origami",
@@ -53,8 +52,6 @@ __all__ = [
     "profile_nonconstancy",
     "intersection_q_horizontal",
     "extremal_length_flowed",
-    "rotate_differential",
-    "teich_disk_distance",
 ]
 
 
@@ -291,20 +288,6 @@ def _norm_bound(max_length):
     return math.floor(max_length * max_length)
 
 
-def _primitive_upper_directions(max_length):
-    """Primitive integer vectors with angle in [0, pi) and length <= bound."""
-    m = _norm_bound(max_length)
-    out = [(1, 0)] if m >= 1 else []
-    q = 1
-    while q * q <= m:
-        p_max = math.isqrt(m - q * q)
-        for p in range(-p_max, p_max + 1):
-            if math.gcd(abs(p), q) == 1:
-                out.append((p, q))
-        q += 1
-    return out
-
-
 def _return_permutation(origami, p, q):
     """First return of the straight flow in the upper direction (p, q) to the
     bottom edges, as a 0-indexed list: the flow from just right of the
@@ -527,15 +510,6 @@ class FlatMulticurve:
             (cyl.height, (cyl.core_holonomy,)) for cyl in decomposition.cylinders
         ))
 
-    @classmethod
-    def single(cls, holonomy, weight=1.0):
-        return cls(((weight, (holonomy,)),))
-
-    def scaled(self, factor):
-        return FlatMulticurve(tuple(
-            (w * factor, hs) for w, hs in self.components
-        ))
-
 
 def horizontal_multicurve(origami):
     """Weighted horizontal core curves, one per cycle of h."""
@@ -622,49 +596,3 @@ def extremal_length_flowed(origami, t, s):
     scale = math.exp(t - s)
     unit_mass = Fraction(intersection_q_horizontal(origami), origami.n)
     return scale * scale * float(unit_mass)
-
-
-@dataclass(frozen=True)
-class FlowedFoliation:
-    """Vertical foliation after rotating by theta and scaling the measure.
-
-    The foliation itself only depends on theta modulo 2*pi, but the stored
-    representative angle matters for the induced half-angle action on
-    holonomy vectors: rotating by a full 2*pi flips their sign while leaving
-    every intersection pairing unchanged.
-    """
-
-    base: Origami
-    theta: float
-    scale: float
-
-    def __post_init__(self):
-        if self.scale <= 0:
-            raise ValueError("scale must be positive")
-
-    def rotated(self, extra_theta):
-        """Compose with a further rotation; angles add (modulo 2*pi as
-        foliations)."""
-        return FlowedFoliation(self.base, self.theta + extra_theta, self.scale)
-
-    def holonomy_image(self, v):
-        """Action on a holonomy vector: rotation by theta/2 and scaling."""
-        return self.scale * cmath.exp(0.5j * self.theta) * complex(v)
-
-    def pair_multicurve(self, multicurve):
-        """Intersection pairing with a flat multicurve."""
-        return self.scale * intersection_profile(multicurve, self.theta)
-
-
-def rotate_differential(origami, theta):
-    """Rotate the flat structure by theta; holonomies rotate by theta/2.
-
-    The sign ambiguity of the half angle never reaches an intersection value
-    because the pairing only consumes |Re(.)| of each holonomy.
-    """
-    return FlowedFoliation(origami, theta, 1.0)
-
-
-def teich_disk_distance(t1, t2):
-    """Distance between two points of a unit-speed stretch line."""
-    return abs(t1 - t2)

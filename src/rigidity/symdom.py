@@ -1,9 +1,9 @@
 """Operator-norm matrix balls and eigenvalue-branch analysis.
 
-A bounded symmetric domain is modelled as the open unit ball of a matrix
-subspace for the operator norm; the distance from the origin is
-arctanh of the norm, and on diagonal 2x2 matrices it degenerates to the
-sup of the two one-dimensional factors.
+A bounded symmetric domain is modelled as the open unit ball of matrices
+for the operator norm: ``kobayashi_distance_origin`` takes a matrix and
+returns arctanh of its norm, which on diagonal 2x2 matrices degenerates
+to the sup of the two one-dimensional factors.
 
 The second half of the module studies how that distance behaves along a
 polynomial matrix path V(t): the characteristic polynomial
@@ -11,7 +11,8 @@ P(t, y) = det(y I - V(t)* V(t)) is computed exactly on Gaussian-integer
 numerators over one common denominator (see :mod:`rigidity.exactpoly`),
 the branch of eigenvalues carrying the top singular value near t = 0+ is
 resolved by the Newton-polygon (Puiseux) iteration, and an independent
-numerical monodromy tracker around a small circle |t| = r double-checks
+numerical monodromy tracker on a certified adaptive grid around a small
+circle |t| = r, starting at the largest root it proves real, double-checks
 the branching index.  ``smoothness_report`` certifies that the distance
 is a smooth function of t**(1/K) by polynomial fitting in the
 reparametrized variable.
@@ -45,8 +46,6 @@ __all__ = [
     "BranchPointOnCircle",
     "BoundaryHit",
     "PuiseuxError",
-    "MatrixDomain",
-    "MatrixPoint",
     "PolynomialMatrixPath",
     "PuiseuxBranchReport",
     "SmoothnessReport",
@@ -63,7 +62,6 @@ __all__ = [
 BALL_MARGIN = 1e-12
 SMOOTHNESS_SAMPLES = 64  # distance samples on [0, epsilon] per report
 FIT_DEGREE = 8           # degree of both residual fits
-COLLISION_TOL = 1e-8     # fixed grid: tracked roots closer than this count as merged
 CERTIFIED_STEPS = 16     # first grid of the certified tracker
 CERTIFIED_GRID = 4096    # finest grid it may bisect a step down to
 _UNIT_ROUNDOFF = 2.0 ** -53
@@ -96,80 +94,13 @@ def operator_norm(matrix):
     return float(np.linalg.norm(np.asarray(matrix, dtype=complex), 2))
 
 
-@dataclass(frozen=True)
-class MatrixDomain:
-    """Matrix realization of a domain: the unit norm ball of a subspace."""
-
-    rows: int
-    cols: int
-    basis: tuple
-
-    def __post_init__(self):
-        basis = tuple(np.asarray(b, dtype=complex) for b in self.basis)
-        if not basis:
-            raise ValueError("need at least one basis matrix")
-        for b in basis:
-            if b.shape != (self.rows, self.cols):
-                raise ValueError(f"basis matrix of shape {b.shape}, expected "
-                                 f"({self.rows}, {self.cols})")
-        stacked = np.stack([b.ravel() for b in basis])
-        if np.linalg.matrix_rank(stacked, tol=1e-10) != len(basis):
-            raise ValueError("basis matrices are linearly dependent")
-        object.__setattr__(self, "basis", basis)
-
-    @property
-    def dimension(self):
-        return len(self.basis)
-
-    def coefficients_of(self, matrix):
-        """Least-squares coordinates of a matrix in the basis; raises if the
-        matrix is not in the span."""
-        m = np.asarray(matrix, dtype=complex).ravel()
-        stacked = np.stack([b.ravel() for b in self.basis]).T
-        coeffs, *_ = np.linalg.lstsq(stacked, m, rcond=None)
-        if np.linalg.norm(stacked @ coeffs - m) > 1e-9 * max(1.0, np.linalg.norm(m)):
-            raise ValueError("matrix does not lie in the domain subspace")
-        return coeffs
-
-    def point(self, matrix):
-        return MatrixPoint(matrix, domain=self)
-
-    @classmethod
-    def bidisk(cls):
-        """Diagonal 2x2 matrices: the product of two disks."""
-        e11 = np.array([[1, 0], [0, 0]], dtype=complex)
-        e22 = np.array([[0, 0], [0, 1]], dtype=complex)
-        return cls(2, 2, (e11, e22))
-
-
-@dataclass(frozen=True)
-class MatrixPoint:
-    """Point of a matrix ball: a matrix of operator norm strictly below one."""
-
-    matrix: np.ndarray
-    domain: MatrixDomain = None
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
-        object.__setattr__(self, "matrix", m)
-        norm = operator_norm(m)
-        if norm > 1.0 - BALL_MARGIN:
-            raise OnOrOutsideBoundary(f"operator norm {norm} is not inside the ball")
-        if self.domain is not None:
-            self.domain.coefficients_of(m)
-
-    @property
-    def norm(self):
-        return operator_norm(self.matrix)
-
-
-def kobayashi_distance_origin(point):
+def kobayashi_distance_origin(matrix):
     """Distance from the base point: (1/2) log((1 + ||V||) / (1 - ||V||)).
 
-    Accepts a MatrixPoint or a raw matrix.  Strictly increasing in the norm;
-    equal to the sup of the factor distances on diagonal matrices.
+    Raises OnOrOutsideBoundary unless ||V|| < 1 - BALL_MARGIN.  Strictly
+    increasing in the norm; equal to the sup of the factor distances on
+    diagonal matrices.
     """
-    matrix = point.matrix if isinstance(point, MatrixPoint) else point
     norm = operator_norm(matrix)
     if norm > 1.0 - BALL_MARGIN:
         raise OnOrOutsideBoundary(f"operator norm {norm} is not inside the ball")
@@ -512,19 +443,22 @@ def _roots_at(P, ts, values=None):
     return roots
 
 
-def _nearest_match(roots, fresh, where):
-    """Index of the nearest fresh root for each root; raises
-    BranchPointOnCircle unless that map is a bijection."""
-    match = np.argmin(np.abs(roots[:, None] - fresh[None, :]), axis=1)
-    if len(set(match.tolist())) < len(match):
-        raise BranchPointOnCircle(f"two roots share their nearest root {where}")
-    return match
-
-
-def _top_cycle_length(start, perm):
+def _top_cycle_length(P, start, radii, perm):
     """Length of the cycle of perm through the top branch at t = radius: the
-    root of start with the largest real part, then imaginary part."""
-    selected = int(np.lexsort((-start.imag, -start.real))[0])
+    largest root of start that its inclusion disk (radius in radii) proves
+    real.  P(radius, .) has real coefficients, so the conjugate of a root
+    is a root.  The disk about Re z of radius |Im z| + R holds the root in
+    the inclusion disk about z and its conjugate; if it meets no other
+    inclusion disk, the two are one root, which is therefore real."""
+    if any(im for c in P.coeffs for _, im in c.num):
+        raise BranchPointOnCircle("P has a non-real coefficient, so its roots at "
+                                  "t = radius cannot be proved real")
+    reach = (np.abs(start.imag) + radii)[:, None] + radii
+    apart = np.abs(start.real[:, None] - start) > reach * _SLACK
+    real = (apart | np.eye(len(start), dtype=bool)).all(axis=1)
+    if not real.any():
+        raise BranchPointOnCircle("no root at t = radius is proved real")
+    selected = int(np.argmax(np.where(real, start.real, -np.inf)))
     length = 1
     k = perm[selected]
     while k != selected:
@@ -539,38 +473,6 @@ def _compose(matches, m):
     for match in matches:
         tracked = [match[k] for k in tracked]
     return tracked
-
-
-def _track_top_branch(P, radius, steps):
-    """Cycle length of the top branch under analytic continuation around 0,
-    on a fixed grid of steps.
-
-    One _roots_at call solves all steps on |t| = radius; each tracked root
-    moves to its nearest root at the next step, which does not depend on
-    the order of the roots, so one argmin matches every step.  The first
-    step whose match is no bijection, or whose roots come within
-    COLLISION_TOL, raises BranchPointOnCircle.  A bijective nearest match
-    is an optimal assignment: every permutation costs at least the sum of
-    the row minima of the distance matrix, and this one attains it
-    (uniquely if each row minimum is unique).  Returns the cycle length of
-    the branch starting at the root with the largest real part at t = radius.
-    """
-    roots = _roots_at(P, radius * np.exp(1j * (2 * np.pi * np.arange(steps + 1) / steps)))
-    m = roots.shape[1]
-    nearest = np.argmin(np.abs(roots[:-1, :, None] - roots[1:, None, :]), axis=2)
-    short = np.isnan(roots).any(axis=1)
-    shared = short[:-1] | short[1:] | (np.sort(nearest, axis=1) != np.arange(m)).any(axis=1)
-    gaps = np.abs(roots[1:, :, None] - roots[1:, None, :]) + np.diag([np.inf] * m)
-    failed = np.flatnonzero(shared | (gaps < COLLISION_TOL).any(axis=(1, 2)))
-    if failed.size:
-        j = int(failed[0])
-        if shared[j]:
-            raise BranchPointOnCircle(f"two roots share their nearest root at step {j + 1}")
-        raise BranchPointOnCircle(f"root collision within {COLLISION_TOL} at step {j + 1}")
-    tracked = _compose(nearest.tolist(), m)
-    # match the final configuration back to the start to read the permutation
-    perm = _nearest_match(roots[-1][tracked], roots[0], "when closing the loop")
-    return _top_cycle_length(roots[0], perm)
 
 
 def _powers(x, degree):
@@ -767,7 +669,7 @@ def _track_certified(P, radius):
     the branches along the polygon through the grid points, which lies
     inside the circle and around 0 alone, so they compose to the
     monodromy permutation.  Returns the cycle length of the branch
-    starting at the root with the largest real part at t = radius.
+    starting at the largest root proved real at t = radius.
     """
     m = P.degree_y
     if m == 1:
@@ -803,7 +705,7 @@ def _track_certified(P, radius):
             first, last = np.concatenate([first, new]), np.concatenate([new, last])
     order = np.argsort(np.concatenate(accepted_first))
     perm = _compose(np.concatenate(accepted_match)[order].tolist(), m)
-    return _top_cycle_length(points.roots[0], perm)
+    return _top_cycle_length(P, points.roots[0], points.radii[0], perm)
 
 
 def monodromy_index(P, epsilon):
@@ -818,15 +720,12 @@ def monodromy_index(P, epsilon):
     return _track_certified(P, radius)
 
 
-def monodromy_branch_index(P, radius, steps=None):
+def monodromy_branch_index(P, radius):
     """Monodromy branch index of the top branch around |t| = radius, after
     checking through the exact discriminant that the circle encloses and
-    touches no branch point other than 0.  Tracked on the certified grid,
-    or on a fixed grid of the given number of steps."""
+    touches no branch point other than 0.  Tracked on the certified grid."""
     if not 0 < radius < math.inf:
         raise ValueError(f"radius must be positive and finite, got {radius}")
-    if steps is not None and steps < 1:
-        raise ValueError(f"steps must be at least 1, got {steps}")
     if P.degree_y < 1:
         raise ValueError("P must depend on the eigenvalue variable")
     closest = _nearest_branch_point(P)
@@ -835,9 +734,7 @@ def monodromy_branch_index(P, radius, steps=None):
             f"branch point at |t| = {closest:.6g} lies within the circle "
             f"of radius {radius}"
         )
-    if steps is None:
-        return _track_certified(P, radius)
-    return _track_top_branch(P, radius, steps)
+    return _track_certified(P, radius)
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,6 @@ from rigidity.chplane import (
     BoundaryPoint,
     CoincidentEndpoints,
     FormViolation,
-    GeodesicRay,
     OutsideBall,
     RealGeodesic,
     Step2Result,
@@ -84,24 +83,35 @@ def test_outside_ball_rejected():
 # rays and isometries
 # ---------------------------------------------------------------------------
 
+def ray_point(iso, t):
+    """Point at time t of the unit-speed ray t -> iso(tanh t, 0)."""
+    return iso(BallPoint(math.tanh(t), 0.0))
+
+
+def ray_level(iso, p):
+    """Horocycle level of p for the ray of iso, normalized so that the ray
+    point at time t has level e^t."""
+    xi = iso(BoundaryPoint(1.0, 0.0))
+    return horocycle_level(xi, p) / horocycle_level(xi, ray_point(iso, 0.0))
+
+
 def test_ray_point_identity_ray():
-    ray = GeodesicRay(BallIsometry.identity())
-    assert ray.point(0.0) == BallPoint(0, 0)
-    p = ray.point(1.0)
+    iso = BallIsometry.identity()
+    assert ray_point(iso, 0.0) == BallPoint(0, 0)
+    p = ray_point(iso, 1.0)
     assert abs(p.z - math.tanh(1)) < 1e-12 and p.w == 0
 
 
 def test_ray_point_swap_gives_second_axis():
-    ray = GeodesicRay(BallIsometry.swap())
-    p = ray.point(1.0)
+    p = ray_point(BallIsometry.swap(), 1.0)
     assert abs(p.w - math.tanh(1)) < 1e-12 and abs(p.z) < 1e-14
 
 
 def test_ray_is_unit_speed():
     rng = np.random.default_rng(4)
-    ray = GeodesicRay(random_isometry(rng))
+    iso = random_isometry(rng)
     for t1, t2 in ((0.0, 1.0), (0.5, 2.5), (-1.0, 0.7)):
-        assert abs(distance(ray.point(t1), ray.point(t2)) - abs(t1 - t2)) < 1e-9
+        assert abs(distance(ray_point(iso, t1), ray_point(iso, t2)) - abs(t1 - t2)) < 1e-9
 
 
 def test_rotation_isometry_action():
@@ -196,19 +206,18 @@ def test_ray_level_equivariance():
     # level sets: level_gamma(p) = level_{m gamma}(m p)
     rng = np.random.default_rng(21)
     rnd = random.Random(21)
-    ray = GeodesicRay(BallIsometry.identity())
+    base = BallIsometry.identity()
     for _ in range(25):
         iso = random_isometry(rng)
-        moved = GeodesicRay(iso.compose(ray.iso))
         p = random_ball_point(rnd)
-        assert abs(ray.level(p) - moved.level(iso(p))) < 1e-9
+        assert abs(ray_level(base, p) - ray_level(iso.compose(base), iso(p))) < 1e-9
 
 
 def test_ray_level_self_consistency():
     rng = np.random.default_rng(22)
-    ray = GeodesicRay(random_isometry(rng))
+    iso = random_isometry(rng)
     for t in (0.0, 0.8, 1.7):
-        assert abs(ray.level(ray.point(t)) - math.exp(t)) < 1e-9
+        assert abs(ray_level(iso, ray_point(iso, t)) - math.exp(t)) < 1e-9
 
 
 # ---------------------------------------------------------------------------

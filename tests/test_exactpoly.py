@@ -214,7 +214,7 @@ def test_rational_roots_match_trial_division_oracle(case):
 def test_rational_roots_with_a_purely_imaginary_leading_coefficient():
     t = RationalPoly.variable()
     i = RationalPoly.constant(GaussianRational(0, 1))
-    p = i * (t.scale(6) - 4) * (t + 3) * t * t
+    p = i * (t * 6 - 4) * (t + 3) * t * t
     assert rational_roots(p) == [-3, 0, Fraction(2, 3)]
     assert rational_roots(p) == trial_division_rational_roots(p)
     # a root of the real part only is not a root
@@ -408,7 +408,7 @@ def test_univariate_arithmetic_matches_fraction_oracle(a, b):
             assert_matches(rem, orem)
     # equal values built in different ways are equal, with equal hashes
     for x, y in (((a + b) - b, a), (a * b, b * a), ((a * b).divmod(a)[0], b),
-                 (a.scale(GaussianRational(0, 1)).scale(GaussianRational(0, -1)), a),
+                 (a * GaussianRational(0, 1) * GaussianRational(0, -1), a),
                  (RationalPoly(a.coeffs + (0, 0)), a), (a.monic().monic(), a.monic())):
         assert x == y and hash(x) == hash(y)
 
@@ -484,7 +484,7 @@ def test_bivariate_discriminant_matches_quadratic_formula():
         P = BivariatePolynomial([c, b, RationalPoly.one()])
         disc = P.discriminant()
         # resultant(P, P_y) for monic quadratics is b^2 - 4c up to sign
-        expected = b * b - c.scale(4)
+        expected = b * b - c * 4
         assert disc == expected or disc == -expected
 
 
@@ -514,7 +514,7 @@ def test_discriminant_of_a_squared_factor_is_zero():
     t = RationalPoly.variable()
     # (y - t)^2 (y + 1 + i t) with one non-real coefficient
     a = RationalPoly([1, GaussianRational(0, 1)])
-    P = BivariatePolynomial([t * t * a, t * t - (t * a).scale(2), a - t.scale(2),
+    P = BivariatePolynomial([t * t * a, t * t - t * a * 2, a - t * 2,
                              RationalPoly.one()])
     assert P.discriminant().is_zero
     assert _cofactor_discriminant(P).is_zero

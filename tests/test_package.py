@@ -1,4 +1,5 @@
 import ast
+import importlib
 import os
 import subprocess
 import sys
@@ -75,3 +76,15 @@ def test_no_module_uses_another_modules_private_names():
     modules = {p.stem for p in sources} | {"data"}
     offences = {p.name: _private_reaches(p, modules) for p in sources}
     assert {name: found for name, found in offences.items() if found} == {}
+
+
+def test_every_name_in_all_resolves():
+    # a stale __all__ entry breaks `from rigidity.<module> import *`
+    package = Path(rigidity.__file__).resolve().parent
+    missing = {}
+    for path in sorted(package.glob("*.py")):
+        module = importlib.import_module(f"rigidity.{path.stem}")
+        names = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
+        if names:
+            missing[path.stem] = names
+    assert missing == {}

@@ -18,8 +18,6 @@ from rigidity.symdom import (
     BoundaryHit,
     BranchPointOnCircle,
     DegenerateAtZero,
-    MatrixDomain,
-    MatrixPoint,
     OnOrOutsideBoundary,
     PolynomialMatrixPath,
     PuiseuxError,
@@ -91,19 +89,11 @@ def test_kobayashi_monotone_in_norm():
 def test_boundary_rejected():
     with pytest.raises(OnOrOutsideBoundary):
         kobayashi_distance_origin(np.diag([1.0, 0.2]))
+    # inside the closed ball, but within the margin of its boundary
+    near = np.diag([1.0 - 1e-14, 0.0])
+    assert operator_norm(near) < 1.0
     with pytest.raises(OnOrOutsideBoundary):
-        MatrixPoint(np.diag([1.0 - 1e-14, 0.0]))
-
-
-def test_matrix_domain_membership():
-    dom = MatrixDomain.bidisk()
-    assert dom.dimension == 2
-    pt = dom.point(np.diag([0.3, 0.6]))
-    assert abs(pt.norm - 0.6) < 1e-12
-    with pytest.raises(ValueError):
-        dom.point(np.array([[0.1, 0.5], [0.0, 0.2]]))
-    with pytest.raises(ValueError):
-        MatrixDomain(2, 2, (np.eye(2), 2 * np.eye(2)))
+        kobayashi_distance_origin(near)
 
 
 # ---------------------------------------------------------------------------
@@ -113,7 +103,7 @@ def test_matrix_domain_membership():
 def test_charpoly_diagonal_path():
     sq = RationalPoly(["1/2", "1/4"]) * RationalPoly(["1/2", "1/4"])
     expected = BivariatePolynomial([
-        sq.scale("1/16"),
+        sq * GaussianRational("1/16"),
         -(sq + RationalPoly(["1/16"])),
         RationalPoly.one(),
     ])
@@ -207,7 +197,7 @@ def _newton_charpoly(traces):
         for i in range(1, k + 1):
             term = elem[k - i] * traces[i - 1]
             acc = acc + (term if i % 2 == 1 else -term)
-        elem.append(acc.scale(Fraction(1, k)))
+        elem.append(acc * Fraction(1, k))
     return BivariatePolynomial([elem[m - k] if (m - k) % 2 == 0 else -elem[m - k]
                                 for k in range(m + 1)])
 
@@ -466,7 +456,26 @@ def test_monodromy_rejects_shared_nearest_root(monkeypatch):
     assert monodromy_branch_index(P, 0.009) == 1
     assert 16 < sum(len(args[1]) for args, _ in solved) <= 256
     with pytest.raises(BranchPointOnCircle, match="nearest root at step 1"):
-        monodromy_branch_index(P, 0.009, steps=3)
+        loop_track_top_branch(P, 0.009, 3)
+
+
+def test_monodromy_starts_at_the_largest_real_root():
+    # (y - 5/8 + 7t/16)((y - 5/8 + t/4)**2 + 3t/16): at t = radius the pair
+    # 5/8 - t/4 +- i sqrt(3t/16) has the largest real part, but the top
+    # branch is the real root 5/8 - 7t/16, analytic in t
+    P = biv(["-125/512", "255/1024", "-3/32", "7/256"], ["75/64", "-63/64", "9/32"],
+            ["-15/8", "15/16"], [1])
+    assert newton_puiseux_index(P).K == 1
+    assert monodromy_branch_index(P, 0.005) == loop_track_top_branch(P, 0.005, 512) == 1
+
+
+def test_monodromy_refuses_a_top_branch_it_cannot_prove_real():
+    with pytest.raises(BranchPointOnCircle, match="no root at t = radius is proved real"):
+        monodromy_branch_index(biv([1], [], [1]), 0.01)                 # y^2 + 1
+    nonreal = BivariatePolynomial([RationalPoly([GaussianRational(0, "1/4"), -1]),
+                                   RationalPoly.zero(), RationalPoly.one()])
+    with pytest.raises(BranchPointOnCircle, match="non-real coefficient"):
+        monodromy_branch_index(nonreal, 0.01)                           # y^2 - t + i/4
 
 
 def test_nearest_match_is_the_optimal_assignment():
@@ -479,38 +488,13 @@ def test_nearest_match_is_the_optimal_assignment():
                                                     + 1j * rng.standard_normal(m)))
             dist = np.abs(roots[:, None] - fresh[None, :])
             try:
-                match = symdom._nearest_match(roots, fresh, "")
+                match = nearest_match(roots, fresh, "")
             except BranchPointOnCircle:
                 assert len(set(dist.argmin(axis=1))) < m
                 continue
             rows, cols = optimize.linear_sum_assignment(dist)
             assert list(rows) == list(range(m))
             assert list(match) == list(cols)
-
-
-def test_monodromy_matches_equal_the_optimal_assignment(monkeypatch):
-    # every matching made while tracking the bundled and test polynomials on
-    # the fixed grid: one argmin over all steps, then one closing match
-    optimize = pytest.importorskip("scipy.optimize")
-    original = np.argmin
-    seen = []
-
-    def checked(dist, axis):
-        # dist is (steps, m, m) for the steps and (m, m) for the closing match
-        match = original(dist, axis=axis)
-        m = dist.shape[-1]
-        for d, row in zip(dist.reshape(-1, m, m), match.reshape(-1, m)):
-            assert list(row) == list(optimize.linear_sum_assignment(d)[1])
-            seen.append(row)
-        return match
-
-    monkeypatch.setattr(symdom.np, "argmin", checked)
-    polys = [data.charpoly(name) for name in data.charpoly_names()]
-    polys += [SQRT_BRANCH, SHIFTED, ANALYTIC, biv([2], [-3], [1]),
-              biv([0, 0, 0, 1], [], [], [1])]                  # y^3 + t^3
-    for P in polys:
-        monodromy_branch_index(P, 0.005, steps=512)
-    assert len(seen) == len(polys) * 513
 
 
 def recording(monkeypatch, name):
@@ -536,23 +520,6 @@ def assert_rows_equal_np_roots(coeff_rows, root_rows):
         assert np.isnan(roots[len(expected):]).all()
 
 
-def test_monodromy_root_inputs_equal_eval_t(monkeypatch):
-    # the stacked kernel evaluates P(t, .) at every step with the floats of
-    # eval_t, and its roots are those of np.roots on each row
-    values = recording(monkeypatch, "_values_at")
-    roots = recording(monkeypatch, "_roots_at")
-    polys = [data.charpoly(name) for name in data.charpoly_names()]
-    polys += [SHIFTED, biv(["1/3"], ["-1/7", "-2/3"], [1])]
-    for P in polys:
-        radius = 0.005
-        monodromy_branch_index(P, radius, steps=64)
-        steps = [radius] + [radius * np.exp(2j * np.pi * j / 64) for j in range(1, 65)]
-        (_, ts), coeff_rows = values[-1]
-        assert ts.tolist() == steps
-        assert coeff_rows.tolist() == [list(reversed(P.eval_t(t))) for t in steps]
-        assert_rows_equal_np_roots(coeff_rows, roots[-1][1])
-
-
 def test_sampling_root_inputs_equal_eval_t(monkeypatch):
     # the report's 64 distance samples solve the same floats as evaluating
     # P(t, .) afresh at each sample point
@@ -569,10 +536,25 @@ def test_sampling_root_inputs_equal_eval_t(monkeypatch):
         assert_rows_equal_np_roots(coeff_rows, roots[-1][1])
 
 
+COLLISION_TOL = 1e-8  # tracked roots closer than this count as merged
+
+
+def nearest_match(roots, fresh, where):
+    """Index of the nearest fresh root for each root; raises
+    BranchPointOnCircle unless that map is a bijection."""
+    match = np.argmin(np.abs(roots[:, None] - fresh[None, :]), axis=1)
+    if len(set(match.tolist())) < len(match):
+        raise BranchPointOnCircle(f"two roots share their nearest root {where}")
+    return match
+
+
 def loop_track_top_branch(P, radius, steps):
-    """The step-by-step tracker that _track_top_branch replaced, kept as its
-    oracle: one np.roots call, one nearest match and one pairwise collision
-    check per step."""
+    """The fixed-grid reference for the certified tracker: one np.roots call,
+    one nearest match and one pairwise collision check per step of a grid
+    of the given number of steps on |t| = radius.  It refuses rather than
+    guesses when a match is no bijection or two roots come within
+    COLLISION_TOL.  The top branch starts at the largest root that np.roots
+    of the real coefficients at t = radius returns with imaginary part 0."""
     def roots_at(t):
         return np.roots(list(reversed(P.eval_t(t))))
 
@@ -580,39 +562,31 @@ def loop_track_top_branch(P, radius, steps):
     m = len(start)
     if m == 1:
         return 1
-    selected = int(np.lexsort((-start.imag, -start.real))[0])
+    real = np.roots(np.real(P.eval_t(radius))[::-1])
+    real = real[real.imag == 0].real
+    if not real.size:
+        raise BranchPointOnCircle("no real root at t = radius")
+    selected = int(np.argmin(np.abs(start - real.max())))
     current = start.copy()
     for j in range(1, steps + 1):
         t = radius * np.exp(2j * np.pi * j / steps)
         fresh = roots_at(t)
-        new = fresh[symdom._nearest_match(current, fresh, f"at step {j}")]
+        new = fresh[nearest_match(current, fresh, f"at step {j}")]
         # collision guard: the matching is meaningless if roots merge
         for a in range(m):
             for b in range(a + 1, m):
-                if abs(new[a] - new[b]) < symdom.COLLISION_TOL:
+                if abs(new[a] - new[b]) < COLLISION_TOL:
                     raise BranchPointOnCircle(
-                        f"root collision within {symdom.COLLISION_TOL} at step {j}"
+                        f"root collision within {COLLISION_TOL} at step {j}"
                     )
         current = new
-    perm = symdom._nearest_match(current, start, "when closing the loop")
+    perm = nearest_match(current, start, "when closing the loop")
     length = 1
     k = perm[selected]
     while k != selected:
         k = perm[k]
         length += 1
     return length
-
-
-def tracker_outcome(track, P, radius, steps):
-    try:
-        return track(P, radius, steps)
-    except BranchPointOnCircle as exc:
-        return type(exc), str(exc)
-
-
-# (y - t)(y - t - d) with d = 5e-9: at radius 1e-9 the roots barely move
-# between steps, so every match is a bijection but the two roots collide
-COLLIDING = biv([0, "1/200000000", 1], ["-1/200000000", -2], [1])
 
 
 @pytest.fixture(scope="module")
@@ -638,18 +612,6 @@ def oracle_polys():
     return polys
 
 
-def test_stacked_tracker_equals_step_loop(oracle_polys):
-    cases = [(P, 0.005) for P in oracle_polys] + [(COLLIDING, 1e-9)]
-    outcomes = set()
-    for P, radius in cases:
-        for steps in (3, 8, 64, 512):
-            expected = tracker_outcome(loop_track_top_branch, P, radius, steps)
-            assert tracker_outcome(symdom._track_top_branch, P, radius, steps) == expected
-            outcomes.add(expected if isinstance(expected, int) else expected[1].split(" ")[0])
-    # every kind of result was compared: K = 1, 2, 3 and both failures
-    assert outcomes == {1, 2, 3, "two", "root"}
-
-
 def test_roots_at_equals_np_roots_on_every_row(oracle_polys):
     circle = 0.005 * np.exp(2j * np.pi * np.arange(513) / 512)
     samples = np.linspace(0.0, 0.1, symdom.SMOOTHNESS_SAMPLES)
@@ -670,9 +632,9 @@ def test_singular_path_rows_equal_np_roots():
                np.linspace(0.0, 0.1, symdom.SMOOTHNESS_SAMPLES)):
         rows = [list(reversed(P.eval_t(t))) for t in ts.tolist()]
         assert_rows_equal_np_roots(rows, symdom._roots_at(P, ts))
+    assert symdom._track_certified(P, 0.005) == 1
     for steps in (3, 8, 64, 512):
-        assert symdom._track_top_branch(P, 0.005, steps) == \
-            loop_track_top_branch(P, 0.005, steps) == 1
+        assert loop_track_top_branch(P, 0.005, steps) == 1
     assert smoothness_report(path, 0.1).K == 1
 
 
@@ -681,8 +643,8 @@ def test_tracker_rejects_a_step_with_fewer_roots():
     # start t = 1/100, where one root escapes to infinity
     P = biv(["1/4"], [1], ["-1/100", 1])
     assert np.isnan(symdom._roots_at(P, [0.01])).sum() == 1
-    with pytest.raises(BranchPointOnCircle, match="nearest root at step 1"):
-        symdom._track_top_branch(P, 0.01, 64)
+    with pytest.raises(BranchPointOnCircle, match="cannot separate the roots at step 0 of 16"):
+        symdom._track_certified(P, 0.01)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0])
@@ -695,13 +657,6 @@ def test_non_finite_epsilon_and_radius_rejected(bad):
         monodromy_index(SHIFTED, bad)
     with pytest.raises(ValueError, match="radius"):
         monodromy_branch_index(SHIFTED, bad)
-
-
-def test_monodromy_branch_index_rejects_no_steps():
-    # no step would close the loop without tracking anything
-    for steps in (0, -3):
-        with pytest.raises(ValueError, match="steps"):
-            monodromy_branch_index(SHIFTED, 0.005, steps=steps)
 
 
 def tracking_radius(monkeypatch):
@@ -732,11 +687,12 @@ def test_monodromy_index_equals_branch_index_at_its_radius(monkeypatch):
               biv([0, 0, 0, 1], [], [], [1]),                  # y^3 + t^3
               biv(["1/200", -1], [], [1]),                     # branch point 1/200
               biv([0, 100], [-1, -100], [1])]                  # branch point 1/100
+    # the roots of y^2 - (t - 1/200) are not real at either radius, so
+    # both calls refuse it with the same message
     for P in polys:
         for epsilon in (0.1, 0.02):
-            k = monodromy_index(P, epsilon)
-            radius = radii[-1]
-            assert k == monodromy_branch_index(P, radius)
+            k = tracker_outcome(monodromy_index, P, epsilon)
+            assert k == tracker_outcome(monodromy_branch_index, P, radii[-1])
 
 
 def test_monodromy_index_rejects():
@@ -774,20 +730,21 @@ def test_oracle_agreement_on_random_quadratics():
 # certified tracker
 # ---------------------------------------------------------------------------
 
-def tracker_k(P, radius, steps=None):
+def tracker_outcome(track, *args):
+    """K from a tracker, or the message of its BranchPointOnCircle."""
     try:
-        return monodromy_branch_index(P, radius, steps=steps)
-    except BranchPointOnCircle:
-        return None
+        return track(*args)
+    except BranchPointOnCircle as exc:
+        return str(exc)
 
 
 def test_certified_tracker_equals_fixed_grid(oracle_polys):
-    # the default certified grid against 512 fixed steps at the same radius
+    # the certified grid against the 512-step reference at the same radius
     compared = 0
     for P in oracle_polys:
-        certified = tracker_k(P, 0.005)
-        fixed = tracker_k(P, 0.005, steps=512)
-        if certified is not None and fixed is not None:
+        certified = tracker_outcome(monodromy_branch_index, P, 0.005)
+        fixed = tracker_outcome(loop_track_top_branch, P, 0.005, 512)
+        if isinstance(certified, int) and isinstance(fixed, int):
             assert certified == fixed
             compared += 1
     assert compared >= len(oracle_polys) - 3
@@ -816,7 +773,8 @@ def test_certified_matches_are_optimal_and_inside_their_disks(monkeypatch, oracl
         return accepted, match
 
     monkeypatch.setattr(symdom, "_certify_steps", checked)
-    tracked = sum(tracker_k(P, 0.005) is not None for P in oracle_polys)
+    tracked = sum(isinstance(tracker_outcome(monodromy_branch_index, P, 0.005), int)
+                  for P in oracle_polys)
     assert tracked >= len(oracle_polys) - 3
     assert len(accepted_steps) >= symdom.CERTIFIED_STEPS * tracked
 
@@ -883,7 +841,7 @@ def test_certified_tracker_on_products_of_branch_factors(factors):
     # products of (y - lam - b t**s)**q - a t**p of y-degree 2 to 5 with
     # distinct lam, so that the top eigenvalue is real for small t > 0, as
     # for the charpoly of a Hermitian path: where no oracle raises, the
-    # certified K is the 512-step K and the polygon K
+    # certified K is the 512-step reference K and the polygon K
     terms = {(0, 0): Fraction(1)}
     for factor in factors:
         terms = terms_product(terms, factor_terms(*factor))
@@ -894,7 +852,7 @@ def test_certified_tracker_on_products_of_branch_factors(factors):
     try:
         radius = min(0.005, 0.5 * symdom._nearest_branch_point(P))
         polygon = newton_puiseux_index(P).K
-        fixed = monodromy_branch_index(P, radius, steps=512)
+        fixed = loop_track_top_branch(P, radius, 512)
         certified = monodromy_branch_index(P, radius)
     except (PuiseuxError, BranchPointOnCircle, DegenerateAtZero):
         return
