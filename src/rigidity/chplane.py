@@ -137,23 +137,6 @@ class BallIsometry:
             raise FormViolation(f"form defect {err:.3e} exceeds {FORM_TOLERANCE}")
         self.matrix = m
 
-    @classmethod
-    def identity(cls):
-        return cls(np.eye(3))
-
-    @classmethod
-    def rotation_z(cls, theta):
-        """The automorphism (z, w) -> (e^{-i theta} z, w)."""
-        return cls(np.diag([cmath.exp(-1j * theta), 1.0, 1.0]))
-
-    @classmethod
-    def swap(cls):
-        """The automorphism (z, w) -> (w, z)."""
-        return cls(np.array([[0, 1, 0], [1, 0, 0], [0, 0, 1]], dtype=complex))
-
-    def compose(self, other):
-        return BallIsometry(self.matrix @ other.matrix)
-
     def __call__(self, point):
         vec = self.matrix @ point.homogeneous()
         if abs(vec[2]) < 1e-14:
@@ -162,9 +145,6 @@ class BallIsometry:
         if isinstance(point, BoundaryPoint):
             return BoundaryPoint(z, w)
         return BallPoint(z, w)
-
-    def __repr__(self):
-        return f"BallIsometry({self.matrix!r})"
 
 
 def _expm(a):
@@ -283,20 +263,13 @@ def _level_crossing(xi, geodesic, toward_positive):
     def f(t):
         return horocycle_level(xi, geodesic.point(t)) - 1.0
 
-    step = 1.0
-    if toward_positive:
-        lo, hi = 0.0, step
-        while f(hi) > 0:
-            hi *= 2
-            if hi > 64:
-                raise RootNotBracketed("level never drops below 1 on the positive side")
-        return _bisect(f, lo, hi)
-    lo, hi = -step, 0.0
-    while f(lo) > 0:
-        lo *= 2
-        if lo < -64:
-            raise RootNotBracketed("level never drops below 1 on the negative side")
-    return _bisect(f, lo, hi)
+    end = 1.0 if toward_positive else -1.0
+    while f(end) > 0:
+        end *= 2
+        if abs(end) > 64:
+            side = "positive" if toward_positive else "negative"
+            raise RootNotBracketed(f"level never drops below 1 on the {side} side")
+    return _bisect(f, min(end, 0.0), max(end, 0.0))
 
 
 @dataclass(frozen=True)

@@ -213,11 +213,6 @@ class RationalPoly:
             return self._scalar(self.num[k])
         return _ZERO
 
-    def leading(self):
-        if self.is_zero:
-            raise ValueError("zero polynomial has no leading coefficient")
-        return self._scalar(self.num[-1])
-
     def __add__(self, other):
         (a, b), den = _common((self, self._ensure(other)))
         return RationalPoly._make(_gi_dot(((a, _UNIT), (b, _UNIT))), den)

@@ -23,6 +23,7 @@ All operations are pure functions of immutable inputs.
 import cmath
 import json
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -200,12 +201,6 @@ class Origami:
             raise BadPermutation(f"origami JSON must carry n, h and v: {exc}") from exc
         return build_origami(n, h, v)
 
-    def to_json(self):
-        return json.dumps(
-            {"n": self.n, "h": list(self.h_images), "v": list(self.v_images)},
-            sort_keys=True,
-        )
-
     def __eq__(self, other):
         if isinstance(other, Origami):
             return self._h == other._h and self._v == other._v
@@ -237,17 +232,15 @@ def area(origami):
     return origami.n
 
 
-@dataclass(frozen=True, slots=True)
-class SaddleConnection:
+class SaddleConnection(namedtuple("SaddleConnection", "start end holonomy")):
     """Oriented flat segment between marked points with no marked point inside."""
 
-    start: int
-    end: int
-    holonomy: complex
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.holonomy == 0:
+    def __new__(cls, start, end, holonomy):
+        if holonomy == 0:
             raise ValueError("saddle connection must have nonzero holonomy")
+        return super().__new__(cls, start, end, holonomy)
 
     @property
     def length(self):
@@ -258,24 +251,6 @@ class SaddleConnection:
 
     def reversed(self):
         return SaddleConnection(self.end, self.start, -self.holonomy)
-
-
-def _append_connections(out, holonomy, endpoints):
-    """Append SaddleConnection(start, end, holonomy) to out for each (start,
-    end) pair of endpoints: the census path, which checks the shared
-    holonomy once and sets the slots directly, not through the frozen
-    __setattr__ and the __post_init__ of every object."""
-    if holonomy == 0:
-        raise ValueError("saddle connection must have nonzero holonomy")
-    new, cls, append = object.__new__, SaddleConnection, out.append
-    set_start, set_end = cls.start.__set__, cls.end.__set__
-    set_holonomy = cls.holonomy.__set__
-    for start, end in endpoints:
-        sc = new(cls)
-        set_start(sc, start)
-        set_end(sc, end)
-        set_holonomy(sc, holonomy)
-        append(sc)
 
 
 def _norm_bound(max_length):
@@ -385,10 +360,9 @@ def saddle_connections(origami, max_length=DEFAULT_LENGTH_BOUND):
         blocks.append(((norm2, 0, -p), hol, sorted(zip(vertex, ends))))
         blocks.append(((norm2, 1, -p), -hol, sorted(zip(ends, vertex))))
     blocks.sort(key=lambda block: block[0])
-    out = []
-    for _, hol, pairs in blocks:
-        _append_connections(out, hol, pairs)
-    return out
+    # _make skips the zero check of __new__: primitive holonomies are nonzero
+    make = SaddleConnection._make
+    return [make((start, end, hol)) for _, hol, pairs in blocks for start, end in pairs]
 
 
 def _lattice_points(k):

@@ -356,7 +356,10 @@ def newton_puiseux_index(P):
                 first_term = (exponent_global, complex(c_float))
             return PuiseuxBranchReport(K, first_term[0], first_term[1], lam0)
 
-        # multiple root: substitute exactly and refine at the next level
+        # multiple root: substitute exactly and refine at the next level.  It
+        # is a simple root of the squarefree part, found there to full accuracy
+        free = np.roots(list(reversed(epoly.divmod(gcd_poly)[0].complex_coeffs())))
+        z0 = free[np.argmin(np.abs(free - z0))].real
         z_exact = _match_rational_root(gcd_poly, z0)
         c_exact = _exact_branch_coefficient(z_exact, q, c_float)
         work = work.substitute_puiseux(q, p, c_exact)
@@ -420,15 +423,13 @@ def _values_at(polys, ts):
     return re + 1j * im
 
 
-def _roots_at(P, ts, values=None):
+def _roots_at(P, ts):
     """Roots of y -> P(t, y) for every t of ts, one row per t, equal to
     np.roots(list(reversed(P.eval_t(t)))) bit for bit: one eigvals call
     solves the companion matrices np.roots builds.  np.roots strips zero end
     coefficients, so such rows go through it; short rows end in NaN, and a
-    row with a non-finite value (where np.roots raises) is all NaN.  A
-    caller that has the coefficient rows (highest power first) to any
-    accuracy it can answer for passes them as values instead."""
-    coeffs = _values_at(P.coeffs[::-1], ts) if values is None else values
+    row with a non-finite value (where np.roots raises) is all NaN."""
+    coeffs = _values_at(P.coeffs[::-1], ts)
     m = P.degree_y
     roots = np.full((len(coeffs), m), np.nan, dtype=complex)
     finite = np.isfinite(coeffs).all(axis=1)
@@ -509,14 +510,13 @@ def _taylor_maps(P, radius):
     of s**a u**b in P(t + step s, z + u) is the sum over i, k of
     A[k + b, i + a] binom(i + a, a) binom(k + b, b) step**a t**i z**k:
     ``taylor`` maps the monomials t**i z**k (index i * (m + 1) + k) to
-    those coefficients (index a * (m + 1) + b), and ``coeffs`` holds the
-    A[k, i] by descending k.  The same sum over absolute values is
-    |P|(|t| + step s, |z| + u), with |P| the polynomial of the |A|; ``scales``
-    holds its y-coefficients at |t| = radius and radius + step.  ``gamma``
-    bounds the relative rounding of each Taylor coefficient, with room to
-    spare, through the predictor substitution that follows;
-    ``substitute[e, b]`` is binom(b + e, e), ``apart`` the m x m zero
-    matrix with infinity on its diagonal and ``eye`` the identity.
+    those coefficients (index a * (m + 1) + b).  The same sum over absolute
+    values is |P|(|t| + step s, |z| + u), with |P| the polynomial of the
+    |A|; ``scales`` holds its y-coefficients at |t| = radius and radius +
+    step.  ``gamma`` bounds the relative rounding of each Taylor
+    coefficient, with room to spare, through the predictor substitution
+    that follows; ``substitute[e, b]`` is binom(b + e, e), ``apart`` the
+    m x m zero matrix with infinity on its diagonal and ``eye`` the identity.
     """
     m = P.degree_y
     degree = max(1, *(len(c.num) - 1 for c in P.coeffs))
@@ -529,7 +529,7 @@ def _taylor_maps(P, radius):
     moduli = np.array([radius, radius + step]) * (1 + 4 * _UNIT_ROUNDOFF)
     return SimpleNamespace(
         m=m, degree=degree, step=step, substitute=layout.substitute, apart=layout.apart,
-        eye=layout.eye, coeffs=coeffs[m::-1, :degree + 1],
+        eye=layout.eye,
         taylor=(coeffs[layout.where] * layout.weights
                 * _powers(step, degree)[:, None, None, None]).reshape(size, size),
         scales=(_powers(moduli, degree).T @ np.abs(coeffs[:m + 1, :degree + 1]).T)[:, :, None],
@@ -552,8 +552,8 @@ class _CirclePoints(NamedTuple):
 def _circle_points(P, maps, ts):
     """What the certified tracker needs of each point t of ts:
 
-    * z, the roots of P(t, .) from _roots_at, of the coefficients at t as
-      sums of A[k, i] t**i;
+    * z, approximate roots of P(t, .) from _roots_at; everything below is
+      computed from P at z, so it holds however z was found;
     * R, radii of disks about them that each hold exactly one exact root
       (Weierstrass corrections W with Carstensen's Gerschgorin disks, so
       R = m |W| if the disks are disjoint);
@@ -577,7 +577,7 @@ def _circle_points(P, maps, ts):
     """
     m, degree, gamma = maps.m, maps.degree, maps.gamma
     t_powers = _powers(ts, degree)
-    roots = _roots_at(P, ts, (maps.coeffs @ t_powers).T)
+    roots = _roots_at(P, ts)
     n = len(ts)
     z = roots.ravel()
     monomials = t_powers[:, None, :, None] * _powers(roots, m)

@@ -159,7 +159,7 @@ def trial_division_rational_roots(poly):
         denoms = denoms * c.re.denominator * c.im.denominator // math.gcd(
             denoms, c.re.denominator * c.im.denominator
         )
-    lead = poly.leading() * denoms
+    lead = poly.coeff(poly.degree) * denoms
     low = poly.coeff(0) * denoms
     lead_int = math.gcd(int(lead.re), int(lead.im))
     low_int = math.gcd(int(low.re), int(low.im))

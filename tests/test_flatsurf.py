@@ -1,6 +1,6 @@
 import copy
-import dataclasses
 import importlib.util
+import json
 import math
 import pickle
 import random
@@ -21,7 +21,6 @@ from rigidity.flatsurf import (
     NotPrimitive,
     Origami,
     SaddleConnection,
-    _append_connections,
     _return_permutation,
     _return_permutations,
     area,
@@ -282,8 +281,8 @@ def test_euler_characteristic_on_random_origamis():
 
 
 def test_json_round_trip():
-    o = Origami.from_json(L3.to_json())
-    assert o == L3
+    payload = {"n": L3.n, "h": list(L3.h_images), "v": list(L3.v_images)}
+    assert Origami.from_json(json.dumps(payload)) == L3
 
 
 # ---------------------------------------------------------------------------
@@ -538,9 +537,9 @@ def test_tree_permutations_below_and_at_unit_bound():
 
 def test_saddle_connection_is_frozen_and_slotted():
     sc = SaddleConnection(0, 1, complex(2, 1))
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(AttributeError):
         sc.start = 1
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(AttributeError):
         sc.holonomy = 1j
     assert not hasattr(sc, "__dict__")
     assert not hasattr(saddle_connections(L3, 1.0)[0], "__dict__")
@@ -555,6 +554,7 @@ def test_saddle_connection_value_semantics():
     assert repr(sc) == "SaddleConnection(start=0, end=1, holonomy=(2+1j))"
     assert sc.reversed() == SaddleConnection(1, 0, complex(-2, -1))
     assert repr(sc.reversed()) == "SaddleConnection(start=1, end=0, holonomy=(-2-1j))"
+    assert sc == (0, 1, complex(2, 1)) and tuple(sc) == (sc.start, sc.end, sc.holonomy)
     assert sc.length == math.sqrt(5)
     for clone in (pickle.loads(pickle.dumps(sc)), copy.copy(sc), copy.deepcopy(sc)):
         assert clone == sc and hash(clone) == hash(sc) and repr(clone) == repr(sc)
@@ -563,8 +563,6 @@ def test_saddle_connection_value_semantics():
 def test_saddle_connection_rejects_zero_holonomy():
     with pytest.raises(ValueError, match="nonzero"):
         SaddleConnection(0, 0, 0j)
-    with pytest.raises(ValueError, match="nonzero"):
-        _append_connections([], 0j, [(0, 0)])
 
 
 def test_census_connections_equal_constructed_ones():

@@ -358,6 +358,18 @@ def test_puiseux_deeper_recursion_through_negative_coefficient():
     assert monodromy_branch_index(P, 0.01) == 2
 
 
+def test_puiseux_triple_edge_root_matched_on_squarefree_part():
+    # ((y - 5/8 - t/8)^3 - t^4/16)(y - 3/8 - t/16): np.roots places the triple
+    # edge root 1/8 of the first level 1.2e-6 away, too far to match it
+    # exactly, while the squarefree part of the edge polynomial holds it as a
+    # simple root
+    P = product_of_factors([("5/8", Fraction(1, 8), 1, 3, Fraction(1, 16), 4),
+                            ("3/8", Fraction(1, 16), 1, 1, 0, 1)])
+    assert newton_puiseux_index(P).K == 3
+    assert monodromy_branch_index(P, 0.005) == 3
+    assert smoothness_report_from_charpoly(P, 0.1).K == 3
+
+
 def test_puiseux_identical_branches_report_common_index():
     rep = newton_puiseux_index(biv([0, 0, 1], [], [0, -2], [], [1]))  # (y^2 - t)^2
     assert rep.K == 2
@@ -818,6 +830,17 @@ def terms_product(x, y):
     return out
 
 
+def product_of_factors(factors):
+    """The product of factor_terms(*factor) over factors as a BivariatePolynomial."""
+    terms = {(0, 0): Fraction(1)}
+    for factor in factors:
+        terms = terms_product(terms, factor_terms(*factor))
+    deg_t = max(i for i, _ in terms)
+    return BivariatePolynomial([
+        RationalPoly([terms.get((i, j), 0) for i in range(deg_t + 1)])
+        for j in range(max(j for _, j in terms) + 1)])
+
+
 _factors = st.tuples(
     st.sampled_from(LAMBDAS),
     st.sampled_from([Fraction(k, 8) for k in range(-2, 3)]),   # b
@@ -842,13 +865,7 @@ def test_certified_tracker_on_products_of_branch_factors(factors):
     # distinct lam, so that the top eigenvalue is real for small t > 0, as
     # for the charpoly of a Hermitian path: where no oracle raises, the
     # certified K is the 512-step reference K and the polygon K
-    terms = {(0, 0): Fraction(1)}
-    for factor in factors:
-        terms = terms_product(terms, factor_terms(*factor))
-    deg_t = max(i for i, _ in terms)
-    P = BivariatePolynomial([
-        RationalPoly([terms.get((i, j), 0) for i in range(deg_t + 1)])
-        for j in range(max(j for _, j in terms) + 1)])
+    P = product_of_factors(factors)
     try:
         radius = min(0.005, 0.5 * symdom._nearest_branch_point(P))
         polygon = newton_puiseux_index(P).K
