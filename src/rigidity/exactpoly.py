@@ -36,7 +36,8 @@ def _to_fraction(x):
 
 
 class GaussianRational:
-    """Complex scalar with exact rational real and imaginary parts."""
+    """Complex scalar with exact rational real and imaginary parts: the input
+    and display form of one coefficient; RationalPoly does the arithmetic."""
 
     __slots__ = ("re", "im")
 
@@ -54,25 +55,6 @@ class GaussianRational:
     def is_zero(self):
         return self.re == 0 and self.im == 0
 
-    def conjugate(self):
-        return GaussianRational(self.re, -self.im)
-
-    def __add__(self, other):
-        other = GaussianRational.ensure(other)
-        return GaussianRational(self.re + other.re, self.im + other.im)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = GaussianRational.ensure(other)
-        return GaussianRational(self.re - other.re, self.im - other.im)
-
-    def __rsub__(self, other):
-        return GaussianRational.ensure(other) - self
-
-    def __neg__(self):
-        return GaussianRational(-self.re, -self.im)
-
     def __mul__(self, other):
         other = GaussianRational.ensure(other)
         return GaussianRational(
@@ -81,31 +63,6 @@ class GaussianRational:
         )
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = GaussianRational.ensure(other)
-        d = other.re * other.re + other.im * other.im
-        if d == 0:
-            raise ZeroDivisionError("division by zero GaussianRational")
-        return GaussianRational(
-            (self.re * other.re + self.im * other.im) / d,
-            (self.im * other.re - self.re * other.im) / d,
-        )
-
-    def __rtruediv__(self, other):
-        return GaussianRational.ensure(other) / self
-
-    def __pow__(self, n):
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("only non-negative integer powers are supported")
-        out = GaussianRational(1)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction, str, GaussianRational)):
@@ -138,8 +95,8 @@ class RationalPoly:
     no trailing (0, 0), over ``den``, one positive int, in lowest terms:
     gcd(den, every re and im) == 1, and the zero polynomial is ((), 1).  So
     equal polynomials have equal fields.  All arithmetic runs on the
-    Gaussian-integer kernel below; ``coeffs``, ``coeff`` and ``leading``
-    are GaussianRational views.
+    Gaussian-integer kernel below; ``coeffs`` and ``coeff`` are
+    GaussianRational views.
     """
 
     __slots__ = ("num", "den")
@@ -175,10 +132,6 @@ class RationalPoly:
     @classmethod
     def one(cls):
         return cls._make(((1, 0),), 1)
-
-    @classmethod
-    def variable(cls):
-        return cls._make(((0, 0), (1, 0)), 1)
 
     @classmethod
     def from_json(cls, pairs):
@@ -219,15 +172,6 @@ class RationalPoly:
 
     __radd__ = __add__
 
-    def __sub__(self, other):
-        return self + -self._ensure(other)
-
-    def __rsub__(self, other):
-        return self._ensure(other) - self
-
-    def __neg__(self):
-        return RationalPoly._make([(-re, -im) for re, im in self.num], self.den)
-
     def __mul__(self, other):
         other = self._ensure(other)
         return RationalPoly._make(_gi_dot(((self.num, other.num),)), self.den * other.den)
@@ -241,10 +185,6 @@ class RationalPoly:
         if isinstance(x, int):
             return RationalPoly._make(((x, 0),) if x else (), 1)
         return RationalPoly.constant(x)
-
-    def conjugate(self):
-        """Coefficient-wise conjugation (adjoint of the values at real t)."""
-        return RationalPoly._make([(re, -im) for re, im in self.num], self.den)
 
     def shift_down(self, k):
         """Exact division by t**k; requires valuation >= k."""
@@ -268,13 +208,6 @@ class RationalPoly:
         out = 0j
         for c in reversed(self.complex_coeffs()):
             out = out * z + c
-        return out
-
-    def eval_exact(self, x):
-        x = GaussianRational.ensure(x)
-        out = _ZERO
-        for c in reversed(self.coeffs):
-            out = out * x + c
         return out
 
     def complex_coeffs(self):
@@ -319,18 +252,6 @@ class RationalPoly:
         if a.is_zero:
             return a
         return a.monic()
-
-    def __pow__(self, n):
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("only non-negative integer powers are supported")
-        out = RationalPoly.one()
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
 
     def __eq__(self, other):
         if isinstance(other, RationalPoly):
@@ -488,17 +409,15 @@ class BivariatePolynomial:
             raise ValueError("constant in y, no derivative branch data")
         return BivariatePolynomial([k * c for k, c in enumerate(self.coeffs)][1:])
 
-    def eval_t(self, t):
-        """Ascending complex coefficients of y -> P(t, y) at a numeric t."""
-        return [c.eval_complex(t) for c in self.coeffs]
-
     def _substituted(self, q, p, c):
         """The y-coefficients of P(t**q, t**p (c + y)) for an exact scalar c,
         by the binomial theorem."""
         c = RationalPoly.constant(c)
         out = [RationalPoly.zero()] * (self.degree_y + 1)
         for k, ck in enumerate(self.coeffs):
-            term = ck.inflate(q) * RationalPoly.variable() ** (p * k)
+            term = ck.inflate(q)
+            if p and not term.is_zero:  # times t**(p k)
+                term = RationalPoly._make(((0, 0),) * (p * k) + term.num, term.den)
             for j in range(k, -1, -1):
                 out[j] = out[j] + term * math.comb(k, j)
                 term = term * c

@@ -29,6 +29,9 @@ from fractions import Fraction
 
 TOLERANCE = 1e-9
 DEFAULT_LENGTH_BOUND = 10.0
+# caps on inputs whose cost grows with their value, not with the output
+MAX_CROSSING_LETTERS = 10**5  # |p| + |q| of a cylinder_decomposition direction
+MAX_COUNT_LENGTH = 10**5  # max_length of saddle_connection_count
 
 __all__ = [
     "BadPermutation",
@@ -249,9 +252,6 @@ class SaddleConnection(namedtuple("SaddleConnection", "start end holonomy")):
         x, y = self.holonomy.real, self.holonomy.imag
         return math.sqrt(x * x + y * y)
 
-    def reversed(self):
-        return SaddleConnection(self.end, self.start, -self.holonomy)
-
 
 def _norm_bound(max_length):
     """floor(max_length**2): an integer norm p**2 + q**2 is at most
@@ -390,8 +390,10 @@ def saddle_connection_count(origami, max_length=DEFAULT_LENGTH_BOUND):
     carries one connection per square, and by Moebius inversion there are
     sum_d mu(d) N(m // d**2) of them, with N(k) the nonzero lattice points
     of norm at most k.  That takes O(L log L) integer square roots for
-    L = max_length."""
+    L = max_length and a sieve of L entries; L > MAX_COUNT_LENGTH is refused."""
     m = _norm_bound(max_length)
+    if max_length > MAX_COUNT_LENGTH:
+        raise ValueError(f"max_length {max_length!r} is over the count's cap {MAX_COUNT_LENGTH}")
     mu = _moebius(math.isqrt(m))
     return origami.n * sum(mu[d] * _lattice_points(m // (d * d))
                            for d in range(1, len(mu)) if mu[d])
@@ -432,13 +434,17 @@ def cylinder_decomposition(origami, direction):
     cycle length and height one; a general direction is handled through the
     first-return permutation of the flow on the union of bottom edges.  Every
     cylinder in a primitive direction (p, q) has height 1/|(p, q)| because
-    every grid vertex is marked.
+    every grid vertex is marked.  The flow crosses |p| + |q| grid lines, one
+    permutation step each; more than MAX_CROSSING_LETTERS are refused.
     """
     p_in, q_in = direction
     if p_in == 0 and q_in == 0:
         raise NotPrimitive("direction must be nonzero")
     if math.gcd(abs(p_in), abs(q_in)) != 1:
         raise NotPrimitive(f"direction {direction} has non-coprime entries")
+    if abs(p_in) + abs(q_in) > MAX_CROSSING_LETTERS:
+        raise ValueError(f"direction {direction} crosses more than {MAX_CROSSING_LETTERS} "
+                         "grid lines (|p| + |q|)")
     # compute with the representative in the upper half plane
     p, q = (p_in, q_in) if (q_in > 0 or (q_in == 0 and p_in > 0)) else (-p_in, -q_in)
 

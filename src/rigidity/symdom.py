@@ -424,11 +424,12 @@ def _values_at(polys, ts):
 
 
 def _roots_at(P, ts):
-    """Roots of y -> P(t, y) for every t of ts, one row per t, equal to
-    np.roots(list(reversed(P.eval_t(t)))) bit for bit: one eigvals call
-    solves the companion matrices np.roots builds.  np.roots strips zero end
-    coefficients, so such rows go through it; short rows end in NaN, and a
-    row with a non-finite value (where np.roots raises) is all NaN."""
+    """Roots of y -> P(t, y) for every t of ts, one row per t, equal bit
+    for bit to np.roots of the values c.eval_complex(t) of the coefficients
+    c of P, highest power first: one eigvals call solves the companion
+    matrices np.roots builds.  np.roots strips zero end coefficients, so
+    such rows go through it; short rows end in NaN, and a row with a
+    non-finite value (where np.roots raises) is all NaN."""
     coeffs = _values_at(P.coeffs[::-1], ts)
     m = P.degree_y
     roots = np.full((len(coeffs), m), np.nan, dtype=complex)

@@ -31,6 +31,16 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
+def run_child(*argv, timeout):
+    """The CLI in a fresh process with a deadline, the package from src."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-c", "import sys; from rigidity.cli import main; sys.exit(main())",
+         *argv],
+        capture_output=True, text=True, timeout=timeout, env=env)
+
+
 def test_intersection_l_shape(tmp_path, capsys):
     csv = tmp_path / "profile.csv"
     code, out, _ = run(capsys, "intersection", "--origami", L3_PATH,
@@ -288,12 +298,7 @@ def test_horocycle_non_finite_twist_exits_one(capsys, value):
 def test_smoothness_at_tiny_epsilon_certifies_or_names_the_step(source, epsilon):
     # a fresh process with a deadline: either both oracles agree, or the
     # monodromy tracker names the step it could not certify
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-c", "import sys; from rigidity.cli import main; sys.exit(main())",
-         "smoothness", *source, "--epsilon", epsilon],
-        capture_output=True, text=True, timeout=2, env=env)
+    proc = run_child("smoothness", *source, "--epsilon", epsilon, timeout=2)
     if proc.returncode == 0:
         payload = json.loads(proc.stdout)
         assert payload["monodromy_K"] == payload["newton_puiseux_K"]
@@ -301,3 +306,23 @@ def test_smoothness_at_tiny_epsilon_certifies_or_names_the_step(source, epsilon)
         assert proc.returncode == 1
         assert proc.stdout == ""
         assert re.fullmatch(r"error: .*\bstep \d+ of \d+\n", proc.stderr)
+
+
+# Oversized inputs: past a cost cap the CLI refuses at once with one error
+# line; the rows at each cap still answer.
+@pytest.mark.parametrize("argv, code", [
+    (["--direction", "1,1000000000"], 1),
+    (["--length-bound", "1e6"], 1),
+    (["--length-bound", "1e9"], 1),
+    (["--direction", "1,99999"], 0),
+    (["--length-bound", "100000"], 0),
+], ids=["direction_1e9", "length_1e6", "length_1e9", "direction_at_cap", "length_at_cap"])
+def test_oversized_inputs_finish_in_time(tmp_path, argv, code):
+    proc = run_child("intersection", "--origami", L3_PATH,
+                     "--out", str(tmp_path / "p.csv"), *argv, timeout=10)
+    assert proc.returncode == code
+    if code:
+        assert proc.stdout == ""
+        assert re.fullmatch(r"error: [^\n]*\n", proc.stderr)
+    else:
+        assert proc.stderr == "" and "max" in json.loads(proc.stdout)

@@ -38,6 +38,12 @@ def biv(*rows):
     )
 
 
+def values_at(P, t):
+    """The complex values of the y-coefficients of P at t, highest power of
+    y first, as np.roots takes them."""
+    return [c.eval_complex(t) for c in reversed(P.coeffs)]
+
+
 SQRT_BRANCH = biv([0, -1], [], [1])                      # y^2 - t
 SHIFTED = biv(["1/16"], ["-1/2", -1], [1])               # y^2 - (1/2 + t) y + 1/16
 DIAG_PATH = PolynomialMatrixPath([
@@ -104,7 +110,7 @@ def test_charpoly_diagonal_path():
     sq = RationalPoly(["1/2", "1/4"]) * RationalPoly(["1/2", "1/4"])
     expected = BivariatePolynomial([
         sq * GaussianRational("1/16"),
-        -(sq + RationalPoly(["1/16"])),
+        (sq + RationalPoly(["1/16"])) * -1,
         RationalPoly.one(),
     ])
     assert ANALYTIC == expected
@@ -158,9 +164,13 @@ def test_charpoly_numeric_agreement_with_singular_values():
                  PolynomialMatrixPath([[RationalPoly(["1/2"]), RationalPoly([0, 1])],
                                        [RationalPoly.zero(), RationalPoly(["1/2"])]])):
         P = charpoly_path(path)
-        roots = sorted(r.real for r in np.roots(list(reversed(P.eval_t(t0)))))
+        roots = sorted(r.real for r in np.roots(values_at(P, t0)))
         svals = sorted(np.linalg.svd(path.evaluate(t0), compute_uv=False) ** 2)
         assert np.allclose(roots, svals, atol=1e-10)
+
+
+def _conjugate(poly):
+    return RationalPoly([GaussianRational(c.re, -c.im) for c in poly.coeffs])
 
 
 def _gram_entries(path):
@@ -172,7 +182,7 @@ def _gram_entries(path):
         for j in range(path.cols):
             acc = RationalPoly.zero()
             for r in range(path.rows):
-                acc = acc + path.entries[r][i].conjugate() * path.entries[r][j]
+                acc = acc + _conjugate(path.entries[r][i]) * path.entries[r][j]
             row.append(acc)
         g.append(row)
     return g
@@ -195,17 +205,15 @@ def _newton_charpoly(traces):
     for k in range(1, m + 1):
         acc = RationalPoly.zero()
         for i in range(1, k + 1):
-            term = elem[k - i] * traces[i - 1]
-            acc = acc + (term if i % 2 == 1 else -term)
+            acc = acc + elem[k - i] * traces[i - 1] * (-1) ** (i + 1)
         elem.append(acc * Fraction(1, k))
-    return BivariatePolynomial([elem[m - k] if (m - k) % 2 == 0 else -elem[m - k]
-                                for k in range(m + 1)])
+    return BivariatePolynomial([elem[m - k] * (-1) ** (m - k) for k in range(m + 1)])
 
 
 def fraction_charpoly(path):
-    """The Fraction reference for charpoly_path: Newton's identities on the
-    power traces of the Gram matrix, the last trace paired off from G^(m-1)
-    and G, every product over Fraction-based Gaussian rationals."""
+    """The reference for charpoly_path: Newton's identities on the power
+    traces of the Gram matrix, the last trace paired off from G^(m-1) and G,
+    every entry a sum of RationalPoly products."""
     gram = _gram_entries(path)
     m = len(gram)
     powers = [gram]
@@ -532,7 +540,7 @@ def assert_rows_equal_np_roots(coeff_rows, root_rows):
         assert np.isnan(roots[len(expected):]).all()
 
 
-def test_sampling_root_inputs_equal_eval_t(monkeypatch):
+def test_sampling_root_inputs_equal_fresh_values(monkeypatch):
     # the report's 64 distance samples solve the same floats as evaluating
     # P(t, .) afresh at each sample point
     values = recording(monkeypatch, "_values_at")
@@ -544,7 +552,7 @@ def test_sampling_root_inputs_equal_eval_t(monkeypatch):
         ts = np.linspace(0.0, 0.1, symdom.SMOOTHNESS_SAMPLES)
         coeff_rows = values[-1][1]
         assert values[-1][0][1].tolist() == ts.tolist()
-        assert coeff_rows.tolist() == [list(reversed(P.eval_t(float(t)))) for t in ts]
+        assert coeff_rows.tolist() == [values_at(P, float(t)) for t in ts]
         assert_rows_equal_np_roots(coeff_rows, roots[-1][1])
 
 
@@ -568,13 +576,13 @@ def loop_track_top_branch(P, radius, steps):
     COLLISION_TOL.  The top branch starts at the largest root that np.roots
     of the real coefficients at t = radius returns with imaginary part 0."""
     def roots_at(t):
-        return np.roots(list(reversed(P.eval_t(t))))
+        return np.roots(values_at(P, t))
 
     start = roots_at(radius)
     m = len(start)
     if m == 1:
         return 1
-    real = np.roots(np.real(P.eval_t(radius))[::-1])
+    real = np.roots(np.real(values_at(P, radius)))
     real = real[real.imag == 0].real
     if not real.size:
         raise BranchPointOnCircle("no real root at t = radius")
@@ -629,7 +637,7 @@ def test_roots_at_equals_np_roots_on_every_row(oracle_polys):
     samples = np.linspace(0.0, 0.1, symdom.SMOOTHNESS_SAMPLES)
     for P in oracle_polys:
         for ts in (circle, samples):
-            rows = [list(reversed(P.eval_t(t))) for t in ts.tolist()]
+            rows = [values_at(P, t) for t in ts.tolist()]
             assert_rows_equal_np_roots(rows, symdom._roots_at(P, ts))
 
 
@@ -642,7 +650,7 @@ def test_singular_path_rows_equal_np_roots():
     assert P.coeffs[0].is_zero
     for ts in (0.005 * np.exp(2j * np.pi * np.arange(513) / 512),
                np.linspace(0.0, 0.1, symdom.SMOOTHNESS_SAMPLES)):
-        rows = [list(reversed(P.eval_t(t))) for t in ts.tolist()]
+        rows = [values_at(P, t) for t in ts.tolist()]
         assert_rows_equal_np_roots(rows, symdom._roots_at(P, ts))
     assert symdom._track_certified(P, 0.005) == 1
     for steps in (3, 8, 64, 512):
