@@ -27,8 +27,6 @@ import cmath
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 __all__ = [
     "OutsideBall",
     "FormViolation",
@@ -49,7 +47,17 @@ __all__ = [
 
 FORM_TOLERANCE = 1e-10
 ROOT_TOL = 1e-12  # parameter tolerance of the crossing bisections
-_J = np.diag([1.0, 1.0, -1.0]).astype(complex)
+_J = ((1, 0, 0), (0, 1, 0), (0, 0, -1))  # diag(1, 1, -1); numpy reads it as a matrix
+
+
+def _div(a, b):
+    """a / b rounded as numpy's complex128 does it: Smith's method, times 1/scale."""
+    ar, ai, br, bi = a.real, a.imag, b.real, b.imag
+    if not abs(br) >= abs(bi):  # a / b = (-1j a) / (-1j b)
+        ar, ai, br, bi = ai, -ar, bi, -br
+    rat = bi / br
+    scl = 1.0 / (br + bi * rat)
+    return complex((ar + ai * rat) * scl, (ai - ar * rat) * scl)
 
 
 class OutsideBall(ValueError):
@@ -84,7 +92,7 @@ class BallPoint:
         return abs(self.z) ** 2 + abs(self.w) ** 2
 
     def homogeneous(self):
-        return np.array([self.z, self.w, 1.0], dtype=complex)
+        return (self.z, self.w, 1.0)
 
 
 @dataclass(frozen=True)
@@ -102,7 +110,7 @@ class BoundaryPoint:
         object.__setattr__(self, "xi2", complex(self.xi2) / norm)
 
     def homogeneous(self):
-        return np.array([self.xi1, self.xi2, 1.0], dtype=complex)
+        return (self.xi1, self.xi2, 1.0)
 
 
 def _inner(p, q):
@@ -129,6 +137,7 @@ class BallIsometry:
     """Holomorphic isometry given by a matrix preserving diag(1, 1, -1)."""
 
     def __init__(self, matrix):
+        import numpy as np
         m = np.asarray(matrix, dtype=complex)
         if m.shape != (3, 3):
             raise FormViolation(f"expected a 3x3 matrix, got shape {m.shape}")
@@ -151,6 +160,7 @@ def _expm(a):
     """Matrix exponential by scaling and squaring: a is halved until its
     1-norm is below 1/2, where the degree-18 Taylor sum leaves a remainder
     under 1e-22, and the sum is then squared back up."""
+    import numpy as np
     squarings = max(0, math.frexp(np.linalg.norm(a, 1))[1] + 1)
     a = a / 2.0 ** squarings
     term = result = np.eye(len(a), dtype=a.dtype)
@@ -217,20 +227,20 @@ class RealGeodesic:
     b: BoundaryPoint
 
     def __post_init__(self):
-        na = self.a.homogeneous()
-        nb = self.b.homogeneous()
-        g = _inner(na, nb) - na[2] * nb[2].conjugate()
+        na, nb = self.a.homogeneous(), self.b.homogeneous()
+        g = _inner(na, nb) - 1.0  # the form pairing of the two null lifts
         if abs(g) < 1e-12:
             raise CoincidentEndpoints("boundary endpoints coincide")
         # rescale the b-lift so that the pairing becomes real negative
-        phase = -abs(g) / g.conjugate()
+        phase = _div(-abs(g), g.conjugate())
         object.__setattr__(self, "_na", na)
-        object.__setattr__(self, "_mb", nb * phase)
+        object.__setattr__(self, "_mb", tuple(x * phase for x in nb))
         object.__setattr__(self, "_norm", math.sqrt(2.0 * abs(g)))
 
     def point(self, t):
-        vec = (math.exp(t) * self._na + math.exp(-t) * self._mb) / self._norm
-        return BallPoint(vec[0] / vec[2], vec[1] / vec[2])
+        z, w, s = (_div(math.exp(t) * x + math.exp(-t) * y, self._norm)
+                   for x, y in zip(self._na, self._mb))
+        return BallPoint(_div(z, s), _div(w, s))
 
 
 def _bisect(f, lo, hi):

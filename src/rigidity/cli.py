@@ -28,12 +28,13 @@ Exit codes: 0 success, 1 input or domain error, 2 tolerance violation,
 output (floats are rounded to 15 significant digits, keys are sorted).
 
 Each subcommand imports only the module it runs, so ``intersection`` and
-``horocycle`` never load ``symdom``, and ``intersection`` never loads numpy.
+``horocycle`` never load ``symdom``, and neither of them loads numpy.
 """
 
 import argparse
 import json
 import math
+import re
 import sys
 
 EXIT_OK = 0
@@ -193,9 +194,18 @@ def build_parser():
     return parser
 
 
+def _attach_signed_values(argv):
+    """argv (sys.argv[1:] if None) with `--opt -1,2` as `--opt=-1,2`: argparse
+    reads only plain numbers as negative values, and -1,2 or -1e-3 as options."""
+    out = []
+    for arg in sys.argv[1:] if argv is None else argv:
+        glued = out and re.fullmatch(r"--[^=]+", out[-1]) and re.match(r"-\.?\d", arg)
+        out.append(out.pop() + "=" + arg if glued else arg)
+    return out
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(_attach_signed_values(argv))
     try:
         return args.func(args)
     except _DOMAIN_ERRORS as exc:

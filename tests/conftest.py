@@ -1,4 +1,6 @@
+import importlib.util
 import random
+from pathlib import Path
 
 from hypothesis import settings
 
@@ -21,3 +23,12 @@ def random_transitive_origami(rnd: random.Random, n_min=2, n_max=8):
             return build_origami(n, h, v)
         except NonTransitive:
             continue
+
+
+def perfbench_gen():
+    """The benchmark's input module perfbench/gen.py (its CLI grid, twists)."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "gen.py"
+    spec = importlib.util.spec_from_file_location("perfbench_gen", path)
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    return gen

@@ -1,10 +1,12 @@
 import cmath
+import json
 import math
 import random
 
 import numpy as np
 import pytest
 
+from conftest import perfbench_gen
 from rigidity import chplane
 from rigidity.chplane import (
     BallIsometry,
@@ -311,3 +313,79 @@ def test_step2_json_shape():
     payload = step2_verify().to_json_dict()
     assert set(payload) == {"P1", "P2", "distance", "intersection"}
     assert len(payload["P1"]) == 4 and len(payload["P2"]) == 4
+
+
+# ---------------------------------------------------------------------------
+# rounding: the crossing experiment runs on Python complex numbers and
+# divides as numpy's complex128 does, with numpy as the oracle
+# ---------------------------------------------------------------------------
+
+def float_bits(z):
+    """Hex of both parts: tells -0.0 from 0.0 and every last bit apart."""
+    return float(z.real).hex(), float(z.imag).hex()
+
+
+# zeros of both signs, |re| = |im| pairs, and magnitudes near 1e+-300,
+# the subnormal limit and the overflow limit
+DIVISION_PARTS = (0.0, -0.0, 1.0, -1.0, 0.5, -3.0, 1 / 3, 2.0 ** 0.5,
+                  1e300, -3e299, 1e-300, -7e-301, 5e-324, 1.7e308)
+
+
+def test_division_rounds_like_numpy_complex128():
+    values = [complex(x, y) for x in DIVISION_PARTS for y in DIVISION_PARTS]
+    dividends = np.array(values)
+    with np.errstate(all="ignore"):
+        for b in values:
+            if b == 0:
+                continue
+            by_array = dividends / b
+            for a, expected in zip(values, by_array):
+                got = float_bits(chplane._div(a, b))
+                assert got == float_bits(expected), (a, b)
+                assert got == float_bits(np.complex128(a) / np.complex128(b)), (a, b)
+            for x in DIVISION_PARTS:  # a real dividend, as in the phase -|g| / conj(g)
+                got = float_bits(chplane._div(x, b))
+                assert got == float_bits(np.float64(x) / np.complex128(b)), (x, b)
+            if b.imag == 0:  # a real divisor, as in the division by the norm
+                for a, expected in zip(values, dividends / b.real):
+                    assert float_bits(chplane._div(a, b.real)) == float_bits(expected)
+
+
+class NumpyGeodesic:
+    """The real geodesic on numpy complex128 arrays, as step2_verify ran it
+    before it moved to Python complex numbers."""
+
+    def __init__(self, a, b):
+        na = np.array([a.xi1, a.xi2, 1.0], dtype=complex)
+        nb = np.array([b.xi1, b.xi2, 1.0], dtype=complex)
+        g = (na[0] * nb[0].conjugate() + na[1] * nb[1].conjugate()
+             - na[2] * nb[2].conjugate())
+        self.na = na
+        self.mb = nb * (-abs(g) / g.conjugate())
+        self.norm = math.sqrt(2.0 * abs(g))
+
+    def point(self, t):
+        vec = (math.exp(t) * self.na + math.exp(-t) * self.mb) / self.norm
+        return BallPoint(vec[0] / vec[2], vec[1] / vec[2])
+
+
+def numpy_step2_verify(theta_twist):
+    xi_a = BoundaryPoint(cmath.exp(-1j * theta_twist), 0.0)
+    xi_b = BoundaryPoint(0.0, 1.0)
+    delta = NumpyGeodesic(xi_a, xi_b)
+    p1 = delta.point(chplane._level_crossing(xi_a, delta, toward_positive=False))
+    p2 = delta.point(chplane._level_crossing(xi_b, delta, toward_positive=True))
+    dist = distance(p1, p2)
+    return Step2Result(P1=p1, P2=p2, dist=dist, intersection=math.exp(-dist))
+
+
+def test_step2_is_bit_identical_to_the_numpy_geodesic():
+    rnd = random.Random(15)
+    twists = [rnd.uniform(-50.0, 50.0) for _ in range(600)]
+    twists += [k / 64 for k in range(-256, 257)]
+    twists += [float(tw) for tw in perfbench_gen().TWISTS]
+    twists += [-0.0, 1e-300, -1e-3, math.pi, -math.pi / 2]
+    for theta in twists:
+        # json keeps the sign of a zero and every digit of each float
+        got = json.dumps(step2_verify(theta).to_json_dict())
+        assert got == json.dumps(numpy_step2_verify(theta).to_json_dict()), theta

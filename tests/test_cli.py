@@ -1,5 +1,4 @@
 import hashlib
-import importlib.util
 import json
 import math
 import os
@@ -12,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import perfbench_gen
 from rigidity import data, exactpoly, symdom
 from rigidity.cli import main
 
@@ -225,12 +225,8 @@ def test_smoothness_runs_each_stage_once(name, capsys, monkeypatch):
 def test_cli_grid_matches_the_recorded_reference(capsys, monkeypatch, tmp_path):
     # every invocation of the benchmark's CLI grid, in process, against the
     # exit codes and stdout digests recorded from the seed code
-    spec = importlib.util.spec_from_file_location("perfbench_gen",
-                                                  ROOT / "perfbench" / "gen.py")
-    gen = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(gen)
     reference = json.loads((ROOT / "perfbench" / "cli_reference.json").read_text())
-    grid = gen.cli_grid()
+    grid = perfbench_gen().cli_grid()
     assert sorted(grid) == sorted(reference)
     monkeypatch.chdir(ROOT)
     for key, argv in grid.items():
@@ -287,6 +283,26 @@ def test_horocycle_non_finite_twist_exits_one(capsys, value):
     assert (code, out) == (1, "")
     assert err.startswith("error: ") and "theta_twist" in err
     assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("argv, option, value", [
+    (["intersection", "--origami", L3_PATH], "--direction", "-1,2"),
+    (["intersection", "--origami", L3_PATH], "--direction", "-1,-1"),
+    (["intersection", "--origami", L3_PATH], "--samples", "-3"),
+    (["horocycle"], "--theta-twist", "-1e-3"),
+    (["horocycle"], "--theta-twist", "-.5"),
+    (["horocycle"], "--tolerance", "-1e-3"),
+    (["smoothness", "--path", DIAG_PATH], "--epsilon", "-1e-2"),
+])
+def test_a_value_starting_with_minus_parses_as_after_equals(capsys, tmp_path, argv,
+                                                            option, value):
+    # argparse reads -1,2 and -1e-3 as options and exits 2, which means a
+    # tolerance violation here
+    out = ["--out", str(tmp_path / "p.csv")] if argv[0] == "intersection" else []
+    spaced = run(capsys, *argv, *out, option, value)
+    joined = run(capsys, *argv, *out, f"{option}={value}")
+    assert spaced[:2] == joined[:2]
+    assert spaced[0] != 2
 
 
 @pytest.mark.parametrize("epsilon", ["1e-30", "1e-300"])

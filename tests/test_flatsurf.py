@@ -1,5 +1,4 @@
 import copy
-import importlib.util
 import json
 import math
 import pickle
@@ -7,11 +6,10 @@ import random
 import time
 from collections import Counter
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
-from conftest import random_transitive_origami
+from conftest import perfbench_gen, random_transitive_origami
 from rigidity import data
 from rigidity.flatsurf import (
     BadPermutation,
@@ -459,10 +457,7 @@ def test_primitive_directions_match_brute_force():
 def test_connection_count_equals_the_benchmark_primitive_count():
     # the Moebius sum against perfbench's count over the whole disk, and
     # against one histogram of primitive norms up to 200**2
-    spec = importlib.util.spec_from_file_location(
-        "perfbench_gen", Path(__file__).resolve().parents[1] / "perfbench" / "gen.py")
-    gen = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(gen)
+    gen = perfbench_gen()
     for L in list(range(41)) + [50, 75, 100, 150, 200]:
         assert saddle_connection_count(TORUS, L) == gen.primitive_count(L), L
     norms = Counter(a * a + b * b for a in range(-200, 201) for b in range(-200, 201)

@@ -1,23 +1,32 @@
 import ast
+import hashlib
 import importlib
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import rigidity
+from conftest import perfbench_gen
 from rigidity import data
 
 
-def _fresh_modules(code):
-    """Sorted names in sys.modules after running code in a new interpreter."""
+def _fresh_run(code):
+    """Stdout lines of code run in a new interpreter, the last of them the
+    sorted names in its sys.modules."""
     src = str(Path(rigidity.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     code += "\nimport sys; print(sorted(sys.modules))"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True, env=env)
-    return ast.literal_eval(out.stdout.strip().splitlines()[-1])
+    return out.stdout.strip().splitlines()
+
+
+def _fresh_modules(code):
+    """Sorted names in sys.modules after running code in a new interpreter."""
+    return ast.literal_eval(_fresh_run(code)[-1])
 
 
 def _top_level(modules, name):
@@ -44,6 +53,35 @@ def test_intersection_command_loads_no_numpy(tmp_path):
         f"from rigidity.cli import main\nassert main({argv!r}) == 0")
     assert _top_level(modules, "numpy") == []
     assert "rigidity.flatsurf" in modules
+
+
+def test_horocycle_command_loads_no_numpy():
+    # numpy is blocked outright, so any import of it fails the command; each
+    # run must still print the recorded digest of the benchmark's grid
+    root = Path(__file__).resolve().parents[1]
+    reference = json.loads((root / "perfbench" / "cli_reference.json").read_text())
+    grid = {key: argv for key, argv in perfbench_gen().cli_grid().items()
+            if key.startswith("horocycle/")}
+    assert len(grid) == 9
+    code = f"""
+import contextlib, io, sys
+sys.modules["numpy"] = None
+from rigidity.cli import main
+runs = {{}}
+for key, argv in {grid!r}.items():
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        runs[key] = (main(argv), out.getvalue())
+print(repr(runs))
+del sys.modules["numpy"]
+"""
+    runs, modules = (ast.literal_eval(line) for line in _fresh_run(code)[-2:])
+    for key, (exit_code, stdout) in runs.items():
+        digest = hashlib.sha256(stdout.encode("utf-8")).hexdigest()
+        assert (exit_code, digest) == (reference[key]["exit"],
+                                       reference[key]["stdout_sha256"]), key
+    assert sorted(runs) == sorted(grid)
+    assert _top_level(modules, "numpy") == []
+    assert "rigidity.chplane" in modules
 
 
 def _private_reaches(path, modules):

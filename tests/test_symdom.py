@@ -1,17 +1,16 @@
-import importlib.util
 import json
 import math
 import random
 import re
 import warnings
 from fractions import Fraction
-from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import perfbench_gen
 from rigidity import data, symdom
 from rigidity.exactpoly import BivariatePolynomial, GaussianRational, RationalPoly
 from rigidity.symdom import (
@@ -613,10 +612,7 @@ def loop_track_top_branch(P, radius, steps):
 def oracle_polys():
     """Bundled charpolys, the test polynomials, and two generator rounds each
     of the benchmark's charpoly and path workloads."""
-    spec = importlib.util.spec_from_file_location(
-        "perfbench_gen", Path(__file__).resolve().parents[1] / "perfbench" / "gen.py")
-    gen = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(gen)
+    gen = perfbench_gen()
     polys = [data.charpoly(name) for name in data.charpoly_names()]
     polys += [SQRT_BRANCH, SHIFTED, ANALYTIC, biv([2], [-3], [1]),
               biv([0, 0, 0, 1], [], [], [1]),                  # y^3 + t^3
