@@ -122,16 +122,20 @@ def cmd_horocycle(args):
 
 def cmd_smoothness(args):
     from . import symdom
-    from .exactpoly import BivariatePolynomial
+    from .exactpoly import MAX_DEGREE_Y, BivariatePolynomial
 
     with open(args.path, encoding="utf-8") as fh:
         data = json.load(fh)
     if args.charpoly:
-        report = symdom.smoothness_report_from_charpoly(
-            BivariatePolynomial.from_json(data), args.epsilon)
+        source = BivariatePolynomial.from_json(data)
+        degree_y, report_of = source.degree_y, symdom.smoothness_report_from_charpoly
     else:
-        report = symdom.smoothness_report(
-            symdom.PolynomialMatrixPath.from_json(data), args.epsilon)
+        source = symdom.PolynomialMatrixPath.from_json(data)
+        degree_y, report_of = source.cols, symdom.smoothness_report
+    # the monodromy check takes the discriminant, so refuse before any stage
+    if degree_y > MAX_DEGREE_Y:
+        raise ValueError(f"degree {degree_y} in y is over the discriminant's cap {MAX_DEGREE_Y}")
+    report = report_of(source, args.epsilon)
     polygon_k = report.branch.K
     monodromy_k = symdom.monodromy_index(report.charpoly, args.epsilon)
     agreement = polygon_k == monodromy_k
@@ -196,10 +200,13 @@ def build_parser():
 
 def _attach_signed_values(argv):
     """argv (sys.argv[1:] if None) with `--opt -1,2` as `--opt=-1,2`: argparse
-    reads only plain numbers as negative values, and -1,2 or -1e-3 as options."""
+    reads only plain numbers as negative values, and -1,2, -1e-3 or -inf as
+    options.  Glued are values that start with `-` and a digit or `.`, and
+    -inf, -infinity and -nan in any case."""
     out = []
     for arg in sys.argv[1:] if argv is None else argv:
-        glued = out and re.fullmatch(r"--[^=]+", out[-1]) and re.match(r"-\.?\d", arg)
+        glued = (out and re.fullmatch(r"--[^=]+", out[-1])
+                 and re.match(r"-(\.?\d|(inf|infinity|nan)\Z)", arg, re.IGNORECASE))
         out.append(out.pop() + "=" + arg if glued else arg)
     return out
 

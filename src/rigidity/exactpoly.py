@@ -23,6 +23,8 @@ __all__ = [
     "rational_nth_root",
 ]
 
+MAX_DEGREE_Y = 8  # degree in y of a discriminant; its cost grows steeply with it
+
 
 def _to_fraction(x):
     """Coerce exact inputs to Fraction; floats are rejected on purpose."""
@@ -443,20 +445,57 @@ class BivariatePolynomial:
     def discriminant(self):
         """Resultant of P and dP/dy with respect to y, as a polynomial in t.
 
-        Vanishes identically exactly when P has a repeated factor in y.  The
-        (2m - 1)-square Sylvester matrix (m = degree in y) of the numerators
-        over one common denominator is reduced by fraction-free Bareiss
-        elimination over Gaussian-integer polynomials in t, with every
-        division checked to be exact.  That takes O(m**3) products and exact
-        divisions of polynomials whose degree in t and coefficient size grow
-        linearly with the elimination step, so the cost is polynomial in the
-        input size.
+        Vanishes identically exactly when P has a repeated factor in y.  Over
+        one common denominator D, P = sum_k n_k y**k / D with Gaussian-integer
+        polynomials n_k; let m be the degree in y and a = n_m.  Then
+        Q(y) = a**(m-1) (D P)(y/a) is monic with Gaussian-integer polynomial
+        coefficients, and its roots are a times those of P.  Newton's
+        identities give their power sums s_0..s_(2m-2), and the Hankel
+        determinant det(s_(i+j)), i, j < m, is the product of their squared
+        differences (von zur Gathen and Gerhard, Modern Computer Algebra,
+        ch. 6), taken by fraction-free Bareiss elimination.  So
+        Res(P, P_y) = (-1)**(m(m-1)/2) a**(2m-1-m(m-1)) det / D**(2m-1),
+        with one exact division when the exponent is negative (m >= 3).
+
+        That is O(m**3) polynomial products and exact divisions on an
+        m-square matrix, where the Sylvester route has a (2m - 1)-square
+        one, but the entries grow faster with m: on monic P this route is
+        two to three times as fast up to y-degree 8, gains little at 9 and
+        loses from 10 on.  So a degree above MAX_DEGREE_Y raises ValueError.
+        A lead a that depends on t enters the determinant as a**(m(m-1)):
+        with a quadratic lead and 60-digit coefficients at y-degree 8 this
+        route takes about three times as long as the Sylvester one.
         """
-        if self.degree_y < 1:
+        m = self.degree_y
+        if m < 1:
             raise ValueError("discriminant needs degree >= 1 in y")
-        if self.degree_y == 1:
+        if m > MAX_DEGREE_Y:
+            raise ValueError(f"degree {m} in y is over the discriminant's cap {MAX_DEGREE_Y}")
+        if m == 1:
             return RationalPoly.one()
-        return _resultant_y(self, self.dy())
+        nums, den = _common(self.coeffs)
+        a = nums[m]
+        # q[k] is the coefficient of y**(m-k) in Q: 1, then n_(m-k) a**(k-1)
+        q, power = [_UNIT], _UNIT
+        for k in range(1, m + 1):
+            q.append(_gi_dot(((nums[m - k], power),)))
+            power = _gi_dot(((power, a),))
+        # Newton: s_k = -(sum_(0 < i < k, i <= m) q_i s_(k-i) + k q_k), q_k = 0 past m
+        sums = [[(m, 0)]]
+        for k in range(1, 2 * m - 1):
+            terms = [(q[i], sums[k - i]) for i in range(1, min(k, m + 1))]
+            if k <= m:
+                terms.append((q[k], [(k, 0)]))
+            sums.append([(-re, -im) for re, im in _gi_dot(terms)])
+        det = _bareiss_det([sums[i:i + m] for i in range(m)])
+        if m * (m - 1) // 2 % 2:
+            det = [(-re, -im) for re, im in det]
+        exponent = 2 * m - 1 - m * (m - 1)
+        power = _UNIT
+        for _ in range(abs(exponent)):
+            power = _gi_dot(((power, a),))
+        det = _gi_dot(((det, power),)) if exponent > 0 else _gi_exact_div(det, power)
+        return RationalPoly._make(det, den ** (2 * m - 1))
 
     def __eq__(self, other):
         if isinstance(other, BivariatePolynomial):
@@ -473,7 +512,7 @@ class BivariatePolynomial:
 
 # The Gaussian-integer kernel: polynomials as ascending sequences of
 # (re, im) int pairs without trailing zeros, so [] is the zero polynomial.
-# Functions here never mutate their arguments, which lets Sylvester rows
+# Functions here never mutate their arguments, which lets matrix rows
 # share coefficient lists.
 
 _UNIT = ((1, 0),)
@@ -584,24 +623,6 @@ def _common(polys):
     den = math.lcm(*(p.den for p in polys))
     return [[(re * (den // p.den), im * (den // p.den)) for re, im in p.num]
             for p in polys], den
-
-
-def _resultant_y(P, Q):
-    """Sylvester resultant of two bivariate polynomials of degree >= 1 in y,
-    eliminating y.
-
-    Over the common denominator D of all coefficients, the Sylvester matrix
-    of the numerators is D times that of P and Q, so its determinant, taken
-    over the Gaussian integers by _bareiss_det, is D**(m + n) times the
-    resultant.
-    """
-    m, n = P.degree_y, Q.degree_y
-    nums, denom = _common(P.coeffs + Q.coeffs)
-    pc, qc = nums[m::-1], nums[:m:-1]
-    size = m + n
-    rows = [[[]] * i + pc + [[]] * (size - m - 1 - i) for i in range(n)]
-    rows += [[[]] * i + qc + [[]] * (size - n - 1 - i) for i in range(m)]
-    return RationalPoly._make(_bareiss_det(rows), denom**size)
 
 
 def gram_charpoly(entries):

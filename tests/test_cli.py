@@ -7,6 +7,7 @@ import subprocess
 import sys
 import warnings
 from collections import Counter
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -293,6 +294,14 @@ def test_horocycle_non_finite_twist_exits_one(capsys, value):
     (["horocycle"], "--theta-twist", "-.5"),
     (["horocycle"], "--tolerance", "-1e-3"),
     (["smoothness", "--path", DIAG_PATH], "--epsilon", "-1e-2"),
+    (["horocycle"], "--theta-twist", "-inf"),
+    (["horocycle"], "--theta-twist", "-Infinity"),
+    (["horocycle"], "--theta-twist", "-nan"),
+    (["horocycle"], "--tolerance", "-INF"),
+    (["horocycle"], "--tolerance", "-NaN"),
+    (["intersection", "--origami", L3_PATH], "--tolerance", "-infinity"),
+    (["smoothness", "--path", DIAG_PATH], "--epsilon", "-inf"),
+    (["smoothness", "--path", DIAG_PATH], "--epsilon", "-nan"),
 ])
 def test_a_value_starting_with_minus_parses_as_after_equals(capsys, tmp_path, argv,
                                                             option, value):
@@ -342,3 +351,41 @@ def test_oversized_inputs_finish_in_time(tmp_path, argv, code):
         assert re.fullmatch(r"error: [^\n]*\n", proc.stderr)
     else:
         assert proc.stderr == "" and "max" in json.loads(proc.stdout)
+
+
+def _linear_factor_charpoly(degree):
+    """JSON rows of prod_k (y - k/16 - k t/64) for k = 1..degree: its roots
+    k (1 + t/4) / 16 are real and apart for t > -4, and the top one is
+    degree/16 at t = 0."""
+    coeffs = [exactpoly.RationalPoly.one()]
+    for k in range(1, degree + 1):
+        c = exactpoly.RationalPoly([Fraction(-k, 16), Fraction(-k, 64)])
+        coeffs = [a + b * c for a, b in zip([exactpoly.RationalPoly.zero()] + coeffs,
+                                            coeffs + [0])]
+    return [[[str(c.re), str(c.im)] for c in poly.coeffs] for poly in coeffs]
+
+
+def _diagonal_path(size):
+    """JSON of the size x size diagonal path with entries k/32 + t/64."""
+    return [[[[f"{k}/32", "0"], ["1/64", "0"]] if j == k else [] for j in range(size)]
+            for k in range(size)]
+
+
+# The discriminant's cap: smoothness refuses a degree in y over
+# exactpoly.MAX_DEGREE_Y before its first stage; the row at the cap answers.
+@pytest.mark.parametrize("mode, payload, code", [
+    (["--charpoly"], _linear_factor_charpoly(12), 1),
+    ([], _diagonal_path(9), 1),
+    (["--charpoly"], _linear_factor_charpoly(8), 0),
+], ids=["charpoly_degree_12", "path_9_columns", "charpoly_at_cap"])
+def test_oversized_smoothness_inputs_finish_in_time(tmp_path, mode, payload, code):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(payload))
+    proc = run_child("smoothness", *mode, "--path", str(path), timeout=10)
+    assert proc.returncode == code
+    if code:
+        assert proc.stdout == ""
+        assert re.fullmatch(r"error: degree \d+ in y is over the discriminant's cap 8\n",
+                            proc.stderr)
+    else:
+        assert proc.stderr == "" and json.loads(proc.stdout)["agreement"] is True

@@ -8,10 +8,12 @@ from hypothesis import strategies as st
 
 from rigidity import data
 from rigidity.exactpoly import (
+    MAX_DEGREE_Y,
     BivariatePolynomial,
     GaussianRational,
     RationalPoly,
     _bareiss_det,
+    _common,
     _divisors,
     _gi_exact_div,
     rational_nth_root,
@@ -46,6 +48,24 @@ def _cofactor_discriminant(P):
     rows = [[zero] * i + pc + [zero] * (size - m - 1 - i) for i in range(n)]
     rows += [[zero] * i + qc + [zero] * (size - n - 1 - i) for i in range(m)]
     return _cofactor_det(rows)
+
+
+def _resultant_y(P, Q):
+    """Sylvester resultant of two bivariate polynomials of degree >= 1 in y,
+    eliminating y: the reference for the Hankel route of discriminant.
+
+    Over the common denominator D of all coefficients, the Sylvester matrix
+    of the numerators is D times that of P and Q, so its determinant, taken
+    over the Gaussian integers by _bareiss_det, is D**(m + n) times the
+    resultant.
+    """
+    m, n = P.degree_y, Q.degree_y
+    nums, denom = _common(P.coeffs + Q.coeffs)
+    pc, qc = nums[m::-1], nums[:m:-1]
+    size = m + n
+    rows = [[[]] * i + pc + [[]] * (size - m - 1 - i) for i in range(n)]
+    rows += [[[]] * i + qc + [[]] * (size - n - 1 - i) for i in range(m)]
+    return RationalPoly._make(_bareiss_det(rows), denom**size)
 
 
 _gaussian_rationals = st.builds(
@@ -535,13 +555,16 @@ def test_discriminant_matches_cofactor_oracle(P):
 
 
 def test_discriminant_through_a_row_swap():
-    # y^3 - t: after the two P rows, the first row of dP/dy = 3 y^2 reduces
-    # to zero in the third column, so Bareiss must swap in the next row
+    # y^3 - t: its power sums are s = (3, 0, 0, 3t, 0), so the Hankel matrix
+    # [[3, 0, 0], [0, 0, 3t], [0, 3t, 0]] has a zero second pivot and
+    # Bareiss must swap in the next row; the Sylvester matrix of the oracle
+    # needs a swap too, in its third column
     P = BivariatePolynomial([RationalPoly([0, -1]), RationalPoly.zero(),
                              RationalPoly.zero(), RationalPoly.one()])
     # resultant(y^3 + p y + q, 3 y^2 + p) = 4 p^3 + 27 q^2, sign included
     assert P.discriminant() == RationalPoly([0, 0, 27])
     assert P.discriminant() == _cofactor_discriminant(P)
+    assert P.discriminant() == _resultant_y(P, P.dy())
 
 
 def test_discriminant_of_a_squared_factor_is_zero():
@@ -552,6 +575,60 @@ def test_discriminant_of_a_squared_factor_is_zero():
                              RationalPoly.one()])
     assert P.discriminant().is_zero
     assert _cofactor_discriminant(P).is_zero
+
+
+def _random_t_poly(rnd, degree=2, digits=1):
+    """A Gaussian-rational polynomial in t with the given degree, its parts
+    of up to the given number of digits over small denominators."""
+    def part():
+        return Fraction(rnd.randint(-10**digits, 10**digits), rnd.randint(1, 4))
+    cs = [GaussianRational(part(), part() if rnd.random() < 0.5 else 0) for _ in range(degree)]
+    return RationalPoly(cs + [GaussianRational(rnd.randint(1, 10**digits), rnd.randint(0, 3))])
+
+
+def _linear_product(rnd, degree):
+    """prod_k (y - c_k(t)) for random c_k of degree 2 in t, expanded."""
+    coeffs = [RationalPoly.one()]
+    for _ in range(degree):
+        c = _random_t_poly(rnd) * -1
+        coeffs = [a + b * c for a, b in zip([RationalPoly.zero()] + coeffs, coeffs + [0])]
+    return BivariatePolynomial(coeffs)
+
+
+@pytest.mark.parametrize("degree", [6, MAX_DEGREE_Y])
+def test_discriminant_of_linear_products_matches_sylvester_oracle(degree):
+    P = _linear_product(random.Random(degree), degree)
+    assert P.degree_y == degree and P.is_monic
+    assert_canonical(P.discriminant())
+    assert P.discriminant() == _resultant_y(P, P.dy())
+
+
+def test_discriminant_with_60_digit_coefficients_matches_sylvester_oracle():
+    rnd = random.Random(60)
+    P = BivariatePolynomial([_random_t_poly(rnd, digits=60) for _ in range(6)]
+                            + [RationalPoly.one()])
+    assert P.degree_y == 6
+    assert P.discriminant() == _resultant_y(P, P.dy())
+
+
+@pytest.mark.parametrize("degree", [2, 3, 4, 5])
+def test_discriminant_with_a_polynomial_lead_matches_sylvester_oracle(degree):
+    # a lead a(t) of degree 2 enters as a**(2m - 1 - m(m - 1)): a**1 at
+    # m = 2, and from m = 3 on one exact division by a power of a
+    rnd = random.Random(degree)
+    for _ in range(3):
+        P = BivariatePolynomial([_random_t_poly(rnd) for _ in range(degree + 1)])
+        assert P.coeffs[-1].degree == 2
+        assert P.discriminant() == _resultant_y(P, P.dy())
+
+
+def test_discriminant_refuses_a_degree_over_the_cap():
+    assert MAX_DEGREE_Y == 8
+    # y**9 - t
+    P = BivariatePolynomial([RationalPoly([0, -1])] + [RationalPoly.zero()] * 8
+                            + [RationalPoly.one()])
+    with pytest.raises(ValueError, match=r"^degree 9 in y is over the discriminant's cap 8$"):
+        P.discriminant()
 
 
 def test_bareiss_kernel_row_swap_sign_and_exact_division():
