@@ -26,6 +26,8 @@ import math
 from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import groupby, repeat
+from operator import itemgetter
 
 TOLERANCE = 1e-9
 DEFAULT_LENGTH_BOUND = 10.0
@@ -346,23 +348,33 @@ def saddle_connections(origami, max_length=DEFAULT_LENGTH_BOUND):
     opposite orientations are mirrored in afterwards.
 
     Output is sorted by (length, angle, endpoints) with an exact key per
-    direction: (p**2 + q**2, half plane, -p) for the upper vector (p, q) and
-    its opposite alike, since the angle of a vector of given length grows as
-    its real part falls in the upper half plane and rises in the lower one;
-    within a direction, by the endpoint pairs.
+    direction.  One row per upper direction (p, q) is sorted by
+    (p**2 + q**2, -p), which is unique per direction; for a given length the
+    angle of a vector grows as its real part falls in the upper half plane
+    and rises in the lower one, so each norm emits the forward blocks of its
+    rows in row order and then their backward blocks.  Within a direction
+    the connections are sorted by their endpoint pairs.  Each block is built
+    in C by tuple.__new__ from sorted (start, end, holonomy) triples, which
+    skips the zero check of __new__ (primitive holonomies are nonzero), and
+    no triple outlives its block.
     """
     vertex = origami._vertex_of_square
-    blocks = []
-    for p, q, ret in _return_permutations(origami, max_length):
-        ends = [vertex[r] for r in ret]
-        hol = complex(p, q)
-        norm2 = p * p + q * q
-        blocks.append(((norm2, 0, -p), hol, sorted(zip(vertex, ends))))
-        blocks.append(((norm2, 1, -p), -hol, sorted(zip(ends, vertex))))
-    blocks.sort(key=lambda block: block[0])
-    # _make skips the zero check of __new__: primitive holonomies are nonzero
-    make = SaddleConnection._make
-    return [make((start, end, hol)) for _, hol, pairs in blocks for start, end in pairs]
+    rows = sorted(((p * p + q * q, -p, complex(p, q), list(map(vertex.__getitem__, ret)))
+                   for p, q, ret in _return_permutations(origami, max_length)),
+                  key=itemgetter(0, 1))
+    # tuple.__new__(SaddleConnection, triple) is what _make does, without a
+    # Python call per connection
+    out, new, cls = [], tuple.__new__, repeat(SaddleConnection)
+    for _, group in groupby(rows, itemgetter(0)):
+        group = list(group)
+        # a block repeats one holonomy object, so a tie on (start, end) ends
+        # at the identity check of the tuple comparison: complex values are
+        # never ordered
+        for _, _, hol, ends in group:
+            out += map(new, cls, sorted(zip(vertex, ends, repeat(hol))))
+        for _, _, hol, ends in group:
+            out += map(new, cls, sorted(zip(ends, vertex, repeat(-hol))))
+    return out
 
 
 def _lattice_points(k):
@@ -467,7 +479,10 @@ def cylinder_decomposition(origami, direction):
 
 @dataclass(frozen=True)
 class FlatMulticurve:
-    """Weighted union of flat geodesics, each a chain of holonomy vectors."""
+    """Weighted union of flat geodesics, each a chain of holonomy vectors.
+
+    Weights are positive and finite, holonomies nonzero and finite.
+    """
 
     components: tuple
 
@@ -476,10 +491,12 @@ class FlatMulticurve:
         for weight, holonomies in self.components:
             weight = float(weight)
             holonomies = tuple(complex(v) for v in holonomies)
-            if weight <= 0:
-                raise ValueError("component weights must be positive")
+            if not 0 < weight < math.inf:
+                raise ValueError(f"component weights must be positive and finite, got {weight!r}")
             if not holonomies or any(v == 0 for v in holonomies):
                 raise ValueError("holonomy lists must be nonempty and nonzero")
+            if not all(map(cmath.isfinite, holonomies)):
+                raise ValueError(f"holonomies must be finite, got {holonomies!r}")
             comps.append((weight, holonomies))
         object.__setattr__(self, "components", tuple(comps))
 
@@ -539,10 +556,13 @@ def profile_nonconstancy(multicurve, samples, tolerance=TOLERANCE):
 
     A profile that is flat to within the tolerance raises ConstantProfile;
     for a nonzero multicurve this only happens when the tolerance swamps the
-    actual variation.
+    actual variation.  The tolerance must be positive and finite: a NaN one
+    could never raise.
     """
     if samples < 8:
         raise ValueError("need at least 8 samples")
+    if not 0 < tolerance < math.inf:
+        raise ValueError(f"tolerance must be positive and finite, got {tolerance!r}")
     ext = sample_profile(multicurve, samples)[2]
     if ext.max - ext.min <= tolerance:
         raise ConstantProfile(

@@ -157,6 +157,24 @@ def fraction_census(origami, max_length):
     return out
 
 
+def block_sort_census(origami, max_length):
+    """Reference construction: the library's census before its rows were
+    grouped by norm.  Two blocks per direction, each a key, a holonomy and a
+    sorted list of (start, end) pairs; the blocks are sorted by the key
+    (norm, half plane, -p) and every connection is made by _make."""
+    vertex = origami._vertex_of_square
+    blocks = []
+    for p, q, ret in _return_permutations(origami, max_length):
+        ends = [vertex[r] for r in ret]
+        hol = complex(p, q)
+        norm2 = p * p + q * q
+        blocks.append(((norm2, 0, -p), hol, sorted(zip(vertex, ends))))
+        blocks.append(((norm2, 1, -p), -hol, sorted(zip(ends, vertex))))
+    blocks.sort(key=lambda block: block[0])
+    make = SaddleConnection._make
+    return [make((start, end, hol)) for _, hol, pairs in blocks for start, end in pairs]
+
+
 def primitive_count(max_length):
     """#{v in Z^2 primitive, |v| <= max_length}, counted over the square."""
     r = math.isqrt(int(max_length * max_length))
@@ -566,6 +584,31 @@ def test_census_connections_equal_constructed_ones():
     assert pickle.loads(pickle.dumps(census)) == census
 
 
+def assert_census_equals_block_sort(origami, max_length):
+    census = saddle_connections(origami, max_length)
+    reference = block_sort_census(origami, max_length)
+    assert census == reference
+    assert [repr(sc) for sc in census] == [repr(sc) for sc in reference]
+    assert all(type(sc) is SaddleConnection for sc in census)
+    return census
+
+
+def test_census_equals_block_sort_construction():
+    # the bundled origamis at the flat_census benchmark's bounds
+    for name, L in (("torus", 40), ("cylinder_pair", 40), ("l_shape_3", 35),
+                    ("stair_4", 25), ("cross_5", 20), ("grid_3x2_6", 20)):
+        assert_census_equals_block_sort(data.origami(name), L)
+    # many squares per vertex: many equal (start, end) pairs in each direction
+    rnd = random.Random(17)
+    for n_min, n_max, L in ((8, 12, 20), (12, 20, 15), (20, 30, 12), (45, 60, 10)):
+        o = random_transitive_origami(rnd, n_min, n_max)
+        census = assert_census_equals_block_sort(o, L)
+        pairs = Counter((sc.start, sc.end, sc.holonomy) for sc in census)
+        assert max(pairs.values()) > 1
+    for L in (0.0, 0.5, 0.99):
+        assert assert_census_equals_block_sort(L3, L) == []
+
+
 # ---------------------------------------------------------------------------
 # cylinders
 # ---------------------------------------------------------------------------
@@ -703,6 +746,25 @@ def test_constant_profile_error_when_tolerance_swamps():
         profile_nonconstancy(horizontal_multicurve(L3), 360, tolerance=10.0)
     with pytest.raises(ValueError):
         profile_nonconstancy(horizontal_multicurve(L3), 4)
+
+
+@pytest.mark.parametrize("weight", [math.nan, math.inf, -math.inf])
+def test_multicurve_rejects_non_finite_weights(weight):
+    with pytest.raises(ValueError, match="weights must be positive and finite"):
+        FlatMulticurve(((weight, (1 + 0j,)),))
+
+
+@pytest.mark.parametrize("holonomy", [complex(math.nan, 0), complex(0, math.nan),
+                                      complex(math.inf, 1), complex(1, -math.inf)])
+def test_multicurve_rejects_non_finite_holonomies(holonomy):
+    with pytest.raises(ValueError, match="holonomies must be finite"):
+        FlatMulticurve(((1.0, (1 + 0j, holonomy)),))
+
+
+@pytest.mark.parametrize("tolerance", [math.nan, math.inf, 0.0, -1e-9])
+def test_nonconstancy_rejects_tolerance_not_positive_and_finite(tolerance):
+    with pytest.raises(ValueError, match="tolerance must be positive and finite"):
+        profile_nonconstancy(horizontal_multicurve(L3), 360, tolerance=tolerance)
 
 
 # ---------------------------------------------------------------------------
