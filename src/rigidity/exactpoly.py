@@ -194,13 +194,25 @@ class RationalPoly:
             raise ValueError(f"polynomial is not divisible by t**{k}")
         return RationalPoly._make(self.num[k:], self.den)
 
-    def inflate(self, q):
-        """Substitute t -> t**q."""
-        if q == 1 or self.is_zero:
-            return self
-        out = [(0, 0)] * (q * self.degree + 1)
-        out[::q] = self.num
-        return RationalPoly._make(out, self.den)
+    def deflate(self, roots):
+        """self divided by t - r for each rational r of roots, as often as
+        it divides.
+
+        Each r = s/q divides the numerators by q t - s, by synthetic division
+        on integers, for as long as every step is exact (by Gauss's lemma the
+        quotient by such a factor is integral).  The quotient of self by
+        t - s/q is q times that one, so the result is the deflated numerators
+        times the q's over self.den: the same polynomial, in the same lowest
+        terms, as divmod by t - s/q would give.
+        """
+        num, scale = self.num, 1
+        for r in roots:
+            while len(num) > 1:
+                quot = _gi_divide_linear(num, r.numerator, r.denominator)
+                if quot is None:
+                    break
+                num, scale = quot, scale * r.denominator
+        return RationalPoly._make([(re * scale, im * scale) for re, im in num], self.den)
 
     def derivative(self):
         return RationalPoly._make(
@@ -214,8 +226,12 @@ class RationalPoly:
 
     def complex_coeffs(self):
         """Ascending coefficients as complex floats, each part correctly
-        rounded (int / int true division), as complex(GaussianRational) is."""
-        return [complex(re / self.den, im / self.den) for re, im in self.num]
+        rounded (int / int true division), as complex(GaussianRational) is.
+        Raises ValueError when a part is too large for a float."""
+        try:
+            return [complex(re / self.den, im / self.den) for re, im in self.num]
+        except OverflowError:
+            raise ValueError("a coefficient is too large for a float") from None
 
     def monic(self):
         """self / lead = num conj(L) / |L|**2 for the leading numerator L."""
@@ -350,9 +366,17 @@ def rational_roots(poly):
     exactly when sum_k a_k p**k q**(d-k) vanishes, which integer Horner
     steps check on the real part and then the imaginary part.  Candidates
     with gcd(p, q) > 1 are skipped, since their reduced form is a candidate
-    too.  The cost is O(d) big-integer products for each of at most
-    2 tau(g_0) tau(g_d) candidates (tau counts divisors), plus the trial
-    division that lists the divisors.
+    too.
+
+    Two exact tests drop most candidates before Horner's rule.  A root s/q
+    (gcd(s, q) = 1) of an integer polynomial f makes q y - s a factor of f
+    over the integers (Gauss's lemma), so (q - s) | f(1) and (q + s) | f(-1);
+    both tests run on the real and on the imaginary part, and a test whose
+    divisor is 0 (the candidates +-1) is skipped.  They cost four sums of
+    the coefficients per call and at most four remainders per candidate.
+    The Horner cost is O(d) big-integer products for each of at most
+    2 tau(g_0) tau(g_d) candidates left (tau counts divisors), plus the
+    trial division that lists the divisors of g_0 and g_d once each.
     """
     if poly.is_zero:
         raise ValueError("every rational is a root of the zero polynomial")
@@ -362,12 +386,20 @@ def rational_roots(poly):
     degree = len(re) - 1
     if degree == 0:
         return roots
+    # f(1) and f(-1) of the real and of the imaginary part
+    at_one = (sum(re), sum(im))
+    at_minus_one = (sum(re[::2]) - sum(re[1::2]), sum(im[::2]) - sum(im[1::2]))
+    numerators = _divisors(math.gcd(re[0], im[0]))
     for q in _divisors(math.gcd(re[-1], im[-1])):
         q_powers = [q**j for j in range(degree + 1)]
-        for p in _divisors(math.gcd(re[0], im[0])):
+        for p in numerators:
             if math.gcd(p, q) > 1:
                 continue
             for s in (p, -p):
+                if q != s and (at_one[0] % (q - s) or at_one[1] % (q - s)):
+                    continue
+                if q != -s and (at_minus_one[0] % (q + s) or at_minus_one[1] % (q + s)):
+                    continue
                 if all(_homogeneous_value(part, s, q_powers) == 0 for part in (re, im)):
                     roots.append(Fraction(s, q))
     return sorted(roots)
@@ -413,16 +445,40 @@ class BivariatePolynomial:
 
     def _substituted(self, q, p, c):
         """The y-coefficients of P(t**q, t**p (c + y)) for an exact scalar c,
-        by the binomial theorem."""
-        c = RationalPoly.constant(c)
-        out = [RationalPoly.zero()] * (self.degree_y + 1)
-        for k, ck in enumerate(self.coeffs):
-            term = ck.inflate(q)
-            if p and not term.is_zero:  # times t**(p k)
-                term = RationalPoly._make(((0, 0),) * (p * k) + term.num, term.den)
-            for j in range(k, -1, -1):
-                out[j] = out[j] + term * math.comb(k, j)
-                term = term * c
+        by the binomial theorem on integer numerators (a Taylor shift).
+
+        Over one common denominator D, P = sum_k n_k(t) y**k / D, and
+        c = (c_r + i c_i) / c_d.  With m the degree in y, the coefficient of
+        y**j is sum_(k >= j) C(k, j) (c_r + i c_i)**(k-j) c_d**(m-k+j)
+        n_k(t**q) t**(p k) over D c_d**m: the i-th numerator of n_k lands at
+        t**(i q + p k).  So each y**j costs one scalar times list step per
+        k >= j, O(m**2) in all, and one reduction to lowest terms.
+        """
+        nums, den = _common(self.coeffs)
+        c = GaussianRational.ensure(c)
+        cd = math.lcm(c.re.denominator, c.im.denominator)
+        cr, ci = (x.numerator * (cd // x.denominator) for x in (c.re, c.im))
+        m = self.degree_y
+        # powers[e] = (c_r + i c_i)**e c_d**(m-e)
+        powers, (pr, pi) = [], (1, 0)
+        for e in range(m + 1):
+            powers.append((pr * cd ** (m - e), pi * cd ** (m - e)))
+            pr, pi = pr * cr - pi * ci, pr * ci + pi * cr
+        den *= cd ** m
+        out = []
+        for j in range(m + 1):
+            size = max((q * (len(nums[k]) - 1) + p * k + 1 for k in range(j, m + 1) if nums[k]),
+                       default=0)
+            re, im = [0] * size, [0] * size
+            for k in range(j, m + 1):
+                ar, ai = powers[k - j]
+                if not (nums[k] and (ar or ai)):
+                    continue
+                ar, ai = ar * math.comb(k, j), ai * math.comb(k, j)
+                for x, (nr, ni) in zip(range(p * k, size, q), nums[k]):
+                    re[x] += ar * nr - ai * ni
+                    im[x] += ar * ni + ai * nr
+            out.append(RationalPoly._make(_gi_trim(list(zip(re, im))), den))
         return out
 
     def shift_y(self, a):
@@ -584,6 +640,21 @@ def _gi_exact_div(a, b):
     if rem:
         raise ArithmeticError("inexact polynomial division: nonzero remainder")
     return quot
+
+
+def _gi_divide_linear(a, s, q):
+    """Quotient h of a by q t - s for integers s and q > 0, or None when it
+    is not a Gaussian-integer polynomial with zero remainder.  From the top
+    down a_k = q h_(k-1) - s h_k, and the remainder a_0 + s h_0 must vanish."""
+    quot, hr, hi = [], 0, 0
+    for re, im in reversed(a[1:]):
+        (hr, rr), (hi, ri) = divmod(re + s * hr, q), divmod(im + s * hi, q)
+        if rr or ri:
+            return None
+        quot.append((hr, hi))
+    if a[0] != (-s * hr, -s * hi):
+        return None
+    return quot[::-1]
 
 
 def _bareiss_det(rows):

@@ -220,6 +220,8 @@ class Origami:
 
 def build_origami(n, h, v):
     """Construct and validate an origami from 1-indexed image arrays."""
+    if isinstance(n, bool) or not isinstance(n, int):
+        raise BadPermutation(f"square count n must be an int, got {n!r}")
     h, v = list(h), list(v)
     if len(h) != n or len(v) != n:
         raise BadPermutation(f"h and v must both have {n} entries")

@@ -198,7 +198,8 @@ class PuiseuxBranchReport:
 def _exact_top_root_at_zero(poly):
     """Largest real root of an exact univariate polynomial, as a Fraction.
 
-    Rational roots are found and divided out exactly; the remaining factor
+    Rational roots are found and divided out exactly, by integer synthetic
+    division of the numerators (RationalPoly.deflate); the remaining factor
     is inspected numerically.  The top root must be rational for the polygon
     iteration to shift exactly, so a larger irrational real root raises
     PuiseuxError.  (Numeric multiple roots split by roughly machine-epsilon
@@ -210,15 +211,7 @@ def _exact_top_root_at_zero(poly):
         raise PuiseuxError("no rational eigenvalue at t = 0; exact shifting "
                            "is unavailable")
     top_rational = max(exact)
-    residual = poly
-    for r in exact:
-        factor = RationalPoly([-r, 1])
-        while True:
-            quot, rem = residual.divmod(factor)
-            if residual.degree >= 1 and rem.is_zero:
-                residual = quot
-            else:
-                break
+    residual = poly.deflate(exact)
     if residual.degree >= 1:
         leftover = np.roots(list(reversed(residual.complex_coeffs())))
         for z in leftover:

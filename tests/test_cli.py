@@ -119,6 +119,21 @@ def test_intersection_deterministic_output(tmp_path, capsys):
     assert csv1.read_bytes() == csv2.read_bytes()
 
 
+@pytest.mark.parametrize("payload", [
+    {"n": 2.0, "h": [2, 1], "v": [1, 2]},
+    {"n": True, "h": [1], "v": [1]},
+], ids=["float_n", "bool_n"])
+def test_intersection_non_integer_square_count_is_an_input_error(tmp_path, payload):
+    origami = tmp_path / "origami.json"
+    origami.write_text(json.dumps(payload))
+    proc = run_child("intersection", "--origami", str(origami),
+                     "--out", str(tmp_path / "p.csv"), timeout=10)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert re.fullmatch(r"error: square count n must be an int, got [^\n]*\n", proc.stderr)
+    assert not (tmp_path / "p.csv").exists()
+
+
 def test_intersection_missing_file(tmp_path, capsys):
     code, _, err = run(capsys, "intersection", "--origami", str(tmp_path / "nope.json"),
                        "--out", str(tmp_path / "x.csv"))
@@ -389,3 +404,18 @@ def test_oversized_smoothness_inputs_finish_in_time(tmp_path, mode, payload, cod
                             proc.stderr)
     else:
         assert proc.stderr == "" and json.loads(proc.stdout)["agreement"] is True
+
+
+# A coefficient whose float conversion overflows, met first in the
+# discriminant of the charpoly and in V(0) of the path.
+@pytest.mark.parametrize("mode, payload", [
+    (["--charpoly"], [[["-1/4", "0"]], [["0", "0"], ["1e300", "0"]], [["1", "0"]]]),
+    ([], [[[["1/2", "0"], ["1e400", "0"]]]]),
+], ids=["charpoly_1e300", "path_1e400"])
+def test_coefficient_too_large_for_a_float_is_an_input_error(tmp_path, mode, payload):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(payload))
+    proc = run_child("smoothness", *mode, "--path", str(path), timeout=10)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr == "error: a coefficient is too large for a float\n"

@@ -102,7 +102,7 @@ def test_poly_ring_operations():
     assert q == RationalPoly([-3, 1]) and r.is_zero
     assert p.gcd((t + 2) * (t + 5)) == (t + 2)
     assert p.derivative() == RationalPoly([-1, 2])
-    assert (t * t).inflate(3) == RationalPoly([0, 0, 0, 0, 0, 0, 1])
+    assert_matches(RationalPoly([0, 0, 0, 0, 0, 0, 1]), FractionPoly((t * t).coeffs).inflate(3))
     assert RationalPoly([0, 0, 5]).shift_down(2) == RationalPoly([5])
     with pytest.raises(ValueError):
         RationalPoly([1, 2]).shift_down(1)
@@ -671,3 +671,133 @@ def test_bivariate_guards():
         BivariatePolynomial([RationalPoly.zero()])
     P = BivariatePolynomial([RationalPoly([1]), RationalPoly.one()])
     assert P.discriminant() == RationalPoly.one()
+
+
+def _product_of_linear_factors(rnd, degree, digits):
+    """prod_k (y - c_k(t)) for random c_k of t-degree 2 with parts of up to
+    the given number of digits, expanded."""
+    coeffs = [RationalPoly.one()]
+    for _ in range(degree):
+        c = _random_t_poly(rnd, digits=digits) * -1
+        coeffs = [a + b * c for a, b in zip([RationalPoly.zero()] + coeffs, coeffs + [0])]
+    return BivariatePolynomial(coeffs)
+
+
+# Fixed rows for the Taylor shift behind shift_y and substitute_puiseux:
+# the bundled charpolys, a y-degree-8 product with 60-digit coefficients and
+# a lead that depends on t; each with a real, a non-real and a zero scalar,
+# and substitutions with p = 0 as well as p > 0.
+_SUBSTITUTION_POLYS = {name: data.charpoly(name) for name in data.charpoly_names()}
+_SUBSTITUTION_POLYS["degree_8_60_digits"] = _product_of_linear_factors(random.Random(8), 8, 60)
+_SUBSTITUTION_POLYS["t_dependent_lead"] = BivariatePolynomial(
+    [_random_t_poly(random.Random(3)) for _ in range(4)])
+_SCALARS = ["-5/4", GaussianRational("1/3", "-2/5"), 0]
+
+
+@pytest.mark.parametrize("c", _SCALARS, ids=["real", "non_real", "zero"])
+@pytest.mark.parametrize("name", sorted(_SUBSTITUTION_POLYS))
+def test_shift_y_matches_fraction_oracle_on_fixed_rows(name, c):
+    P = _SUBSTITUTION_POLYS[name]
+    cs = [FractionPoly(poly.coeffs) for poly in P.coeffs]
+    got = P.shift_y(c)
+    expected = oracle_shift_y(cs, c)
+    assert len(got.coeffs) == len(expected)
+    for poly, oracle in zip(got.coeffs, expected):
+        assert_matches(poly, oracle)
+
+
+@pytest.mark.parametrize("q, p", [(1, 1), (2, 1), (3, 0), (2, 3)])
+@pytest.mark.parametrize("c", _SCALARS, ids=["real", "non_real", "zero"])
+@pytest.mark.parametrize("name", sorted(_SUBSTITUTION_POLYS))
+def test_substitute_puiseux_matches_fraction_oracle_on_fixed_rows(name, c, q, p):
+    P = _SUBSTITUTION_POLYS[name]
+    cs = [FractionPoly(poly.coeffs) for poly in P.coeffs]
+    got = P.substitute_puiseux(q, p, c)
+    expected = oracle_substitute_puiseux(cs, q, p, c)
+    assert len(got.coeffs) == len(expected)
+    for poly, oracle in zip(got.coeffs, expected):
+        assert_matches(poly, oracle)
+
+
+def _times_linear_factors(poly, *roots):
+    """poly times q y - p for each (p, q) given."""
+    for p, q in roots:
+        poly = poly * RationalPoly([-p, q])
+    return poly
+
+
+# Fixed rows for the candidate filters of rational_roots: the roots +-1,
+# where a divisor q - s or q + s is 0 and its test is skipped, and +-1/q;
+# a root of the real part only; a constant term with 240 divisors.
+_ROOT_ROWS = {
+    "plus_minus_one": _times_linear_factors(RationalPoly([2, 0, 1]), (1, 1), (-1, 1), (1, 1)),
+    "plus_minus_one_over_q": _times_linear_factors(
+        RationalPoly([3, 1, 5]), (1, 3), (-1, 3), (1, 4), (-1, 2)),
+    "one_and_non_real": _times_linear_factors(
+        RationalPoly([GaussianRational(0, 2), 1]), (1, 1), (-1, 5)),
+    "real_part_only": (_times_linear_factors(RationalPoly([5, 1]), (2, 3))
+                       + RationalPoly.constant(GaussianRational(0, 1)) * RationalPoly([4, 0, 3])),
+    "constant_720720": _times_linear_factors(RationalPoly([24024, 0, 1]), (3, 4), (-10, 3)),
+    "constant_720720_gaussian": _times_linear_factors(
+        RationalPoly([GaussianRational(65520, 65520), 0, 1]), (11, 2), (-1, 1)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ROOT_ROWS))
+def test_rational_roots_match_trial_division_oracle_on_fixed_rows(name):
+    poly = _ROOT_ROWS[name]
+    assert rational_roots(poly) == trial_division_rational_roots(poly)
+
+
+def test_fixed_root_rows_reach_the_filter_edges():
+    assert rational_roots(_ROOT_ROWS["plus_minus_one"]) == [-1, 1]
+    assert rational_roots(_ROOT_ROWS["plus_minus_one_over_q"]) == [
+        Fraction(-1, 2), Fraction(-1, 3), Fraction(1, 4), Fraction(1, 3)]
+    assert rational_roots(_ROOT_ROWS["real_part_only"]) == []
+    assert len(_divisors(720720)) == 240
+    assert _ROOT_ROWS["constant_720720"].num[0] == (-720720, 0)
+    assert rational_roots(_ROOT_ROWS["constant_720720"]) == [Fraction(-10, 3), Fraction(3, 4)]
+    assert _ROOT_ROWS["constant_720720_gaussian"].num[0] == (-720720, -720720)
+    assert rational_roots(_ROOT_ROWS["constant_720720_gaussian"]) == [-1, Fraction(11, 2)]
+
+
+def divmod_deflated(poly, roots):
+    """The reference for RationalPoly.deflate: divide by t - r with
+    RationalPoly.divmod for each root r while the remainder is zero."""
+    residual = poly
+    for r in roots:
+        factor = RationalPoly([-r, 1])
+        while True:
+            quot, rem = residual.divmod(factor)
+            if residual.degree >= 1 and rem.is_zero:
+                residual = quot
+            else:
+                break
+    return residual
+
+
+def _linear_factors(lead, *roots):
+    """lead times t - r for each root r given."""
+    poly = RationalPoly([lead])
+    for r in roots:
+        poly = poly * RationalPoly([-Fraction(r), 1])
+    return poly
+
+
+@pytest.mark.parametrize("poly", [
+    *(data.charpoly(name).at_t_zero() for name in data.charpoly_names()),
+    _linear_factors("3/7", "1/2", "1/2", "1/2", "-4/3", 0, 0),
+    _linear_factors(GaussianRational("2/3", "-5/2"), 1, -1, -1, "7/6") * RationalPoly([2, 0, 1]),
+    _linear_factors(GaussianRational(0, 1), "5/8", "5/8") * RationalPoly([GaussianRational(1, 1), 3]),
+    _linear_factors(1, "-9/4"),
+    RationalPoly([-2, 0, 1]),
+    # the quotient by y - 1 has 1 as a root of its real part only
+    _linear_factors(1, 1) * (RationalPoly([-2, 1, 1]) + RationalPoly([GaussianRational(0, 5),
+                                                                      GaussianRational(0, 1)])),
+], ids=[*data.charpoly_names(), "triple_half", "non_real_lead", "gaussian_cofactor",
+        "linear", "no_rational_root", "real_part_double_root"])
+def test_deflated_residual_equals_divmod_loop(poly):
+    roots = rational_roots(poly)
+    got = poly.deflate(roots)
+    expected = divmod_deflated(poly, roots)
+    assert (got.num, got.den) == (expected.num, expected.den)

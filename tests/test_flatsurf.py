@@ -286,6 +286,16 @@ def test_json_bool_entries_rejected(tmp_path):
         load_origami(path)
 
 
+@pytest.mark.parametrize("payload", [
+    '{"n": 2.0, "h": [2, 1], "v": [1, 2]}',
+    '{"n": true, "h": [1], "v": [1]}',
+    '{"n": "1", "h": [1], "v": [1]}',
+], ids=["float_n", "bool_n", "str_n"])
+def test_json_square_count_must_be_an_int(payload):
+    with pytest.raises(BadPermutation, match="square count n must be an int"):
+        Origami.from_json(payload)
+
+
 def test_euler_characteristic_on_random_origamis():
     rnd = random.Random(20240)
     for _ in range(20):
