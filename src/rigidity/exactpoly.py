@@ -136,9 +136,13 @@ class RationalPoly:
         return cls._make(((1, 0),), 1)
 
     @classmethod
-    def from_json(cls, pairs):
+    def from_json(cls, pairs, shape="a polynomial must be a list of [re, im] pairs"):
         """Ascending [re, im] coefficient pairs, each an exact decimal or
-        fraction string (or a number)."""
+        fraction string (or a number).  Anything but a list of two-element
+        lists raises ValueError(shape), shape naming the format read."""
+        if not (isinstance(pairs, list)
+                and all(isinstance(c, list) and len(c) == 2 for c in pairs)):
+            raise ValueError(shape)
         return cls([GaussianRational(str(re), str(im)) for re, im in pairs])
 
     @property
@@ -422,7 +426,10 @@ class BivariatePolynomial:
     def from_json(cls, rows):
         """One list of [re, im] t-coefficient pairs per power of y, ascending
         in both variables (see RationalPoly.from_json)."""
-        return cls([RationalPoly.from_json(row) for row in rows])
+        shape = "a charpoly must be a list of one list of [re, im] pairs per power of y"
+        if not isinstance(rows, list):
+            raise ValueError(shape)
+        return cls([RationalPoly.from_json(row, shape) for row in rows])
 
     @property
     def degree_y(self):

@@ -31,9 +31,10 @@ from operator import itemgetter
 
 TOLERANCE = 1e-9
 DEFAULT_LENGTH_BOUND = 10.0
+MAX_CROSSING_LETTERS = 10**5  # |p| + |q| of a direction: an input bound, not a cost cap
 # caps on inputs whose cost grows with their value, not with the output
-MAX_CROSSING_LETTERS = 10**5  # |p| + |q| of a cylinder_decomposition direction
 MAX_COUNT_LENGTH = 10**5  # max_length of saddle_connection_count
+MAX_SAMPLES = 10**5  # samples of sample_profile: 0.5 s and 40 MB at the cap
 
 __all__ = [
     "BadPermutation",
@@ -200,11 +201,9 @@ class Origami:
     @classmethod
     def from_json(cls, payload):
         data = json.loads(payload) if isinstance(payload, str) else payload
-        try:
-            n, h, v = data["n"], data["h"], data["v"]
-        except (TypeError, KeyError) as exc:
-            raise BadPermutation(f"origami JSON must carry n, h and v: {exc}") from exc
-        return build_origami(n, h, v)
+        if not isinstance(data, dict) or not all(isinstance(data.get(k), list) for k in "hv"):
+            raise BadPermutation('origami JSON must be {"n": int, "h": [...], "v": [...]}')
+        return build_origami(data.get("n"), data["h"], data["v"])
 
     def __eq__(self, other):
         if isinstance(other, Origami):
@@ -267,33 +266,36 @@ def _norm_bound(max_length):
     return math.floor(max_length * max_length)
 
 
-def _return_permutation(origami, p, q):
-    """First return of the straight flow in the upper direction (p, q) to the
-    bottom edges, as a 0-indexed list: the flow from just right of the
-    bottom-left corner of square s is, after displacement (p, q), just right
-    of the bottom-left corner of the returned square.
+def _power(perm, k):
+    """The k-th power of a 0-indexed permutation, in O(n) through its cycles."""
+    out = [0] * len(perm)
+    for cyc in _cycles(perm):
+        for i, x in enumerate(cyc):
+            out[x] = cyc[(i + k) % len(cyc)]
+    return out
 
-    The flow crosses each vertical grid line (applying h, or its inverse when
-    moving left) and each horizontal one (applying v) in the order of its
-    crossing times.  The v letter j (time j/q, j = 1..q) is merged with the
-    side letter k in integer arithmetic: moving right, line k is crossed at
-    time just before k/|p| and precedes v letter j iff k*q <= j*|p|; moving
-    left, line k is crossed just after (k - 1)/|p|, so the first side letter
-    comes at once.  For a primitive vector only the last letters tie, at
-    time 1, where the vertical line is crossed first.  The word of |p| + q
-    letters is applied to all squares together, one permutation per letter.
+
+def _return_permutation(origami, p, q):
+    """First return of the straight flow in the primitive upper direction
+    (p, q) to the bottom edges, as a 0-indexed list: the flow from just right
+    of the bottom-left corner of square s is, after displacement (p, q), just
+    right of the bottom-left corner of the returned square.
+
+    Descends the tree of _return_permutations by runs: if (|p|, q) is
+    d2 L + d1 R for parents L and R, k = (d1 - 1) // d2 steps toward R turn L
+    into the child of L and R**k, d1 into d1 - k d2 (mirrored if d2 > d1).
     """
-    if q == 0:
-        return origami._h
-    side = origami._h if p > 0 else origami._h_inv
-    a, lag = abs(p), int(p < 0)
-    u, k = list(range(origami.n)), 1
-    for j in range(1, q + 1):
-        while k <= a and (k - lag) * q <= j * a:
-            u = [side[x] for x in u]
-            k += 1
-        u = [origami._v[x] for x in u]
-    return u
+    if p == 0 or q == 0:
+        return list(origami._h if q == 0 else origami._v)
+    right, d1, d2 = origami._v, q, abs(p)
+    left = origami._h_inv if p < 0 else [right[origami._h[x]] for x in origami._v_inv]
+    child = (lambda a, b: [b[x] for x in a]) if p < 0 else (lambda a, b: [a[x] for x in b])
+    while d1 != d2:
+        if d1 > d2:
+            left, d1 = child(left, _power(right, (d1 - 1) // d2)), (d1 - 1) % d2 + 1
+        else:
+            right, d2 = child(_power(left, (d2 - 1) // d1), right), (d2 - 1) % d1 + 1
+    return child(left, right)
 
 
 def _return_permutations(origami, max_length):
@@ -448,8 +450,7 @@ def cylinder_decomposition(origami, direction):
     cycle length and height one; a general direction is handled through the
     first-return permutation of the flow on the union of bottom edges.  Every
     cylinder in a primitive direction (p, q) has height 1/|(p, q)| because
-    every grid vertex is marked.  The flow crosses |p| + |q| grid lines, one
-    permutation step each; more than MAX_CROSSING_LETTERS are refused.
+    every grid vertex is marked.  |p| + |q| > MAX_CROSSING_LETTERS is refused.
     """
     p_in, q_in = direction
     if p_in == 0 and q_in == 0:
@@ -541,10 +542,12 @@ def sample_profile(multicurve, samples):
 
     Returns the grid angles, the values there and their ProfileExtrema: the
     grid maximum and minimum and a witness angle whose value deviates most
-    from the value at theta = 0.  Any positive number of samples is taken.
+    from the value at theta = 0.  From 1 to MAX_SAMPLES samples are taken.
     """
     if samples < 1:
         raise ValueError("need at least one sample")
+    if samples > MAX_SAMPLES:
+        raise ValueError(f"samples {samples} is over the cap {MAX_SAMPLES}")
     thetas = [2 * math.pi * j / samples for j in range(samples)]
     values = [intersection_profile(multicurve, th) for th in thetas]
     witness = thetas[max(range(samples), key=lambda j: abs(values[j] - values[0]))]

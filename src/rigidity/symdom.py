@@ -136,7 +136,11 @@ class PolynomialMatrixPath:
         """Nested lists: rows of entries, each entry a list of [re, im]
         coefficient pairs in ascending powers of t, as exact decimal or
         fraction strings."""
-        return cls([[RationalPoly.from_json(entry) for entry in row] for row in data])
+        shape = ("a path must be a list of rows, each a list of entries, "
+                 "each a list of [re, im] pairs")
+        if not (isinstance(data, list) and all(isinstance(row, list) for row in data)):
+            raise ValueError(shape)
+        return cls([[RationalPoly.from_json(entry, shape) for entry in row] for row in data])
 
     def evaluate(self, t):
         """V(t) as a complex matrix, or one per t for an array of t."""
@@ -399,7 +403,9 @@ def _nearest_branch_point(P):
     deflated = disc.shift_down(disc.valuation)
     if deflated.degree == 0:
         return math.inf
-    return min(abs(b) for b in np.roots(list(reversed(deflated.complex_coeffs()))))
+    # np.roots finds none when the leading float coefficients underflow to 0
+    return min((abs(b) for b in np.roots(list(reversed(deflated.complex_coeffs())))),
+               default=math.inf)
 
 
 def _values_at(polys, ts):

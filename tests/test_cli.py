@@ -356,7 +356,10 @@ def test_smoothness_at_tiny_epsilon_certifies_or_names_the_step(source, epsilon)
     (["--length-bound", "1e9"], 1),
     (["--direction", "1,99999"], 0),
     (["--length-bound", "100000"], 0),
-], ids=["direction_1e9", "length_1e6", "length_1e9", "direction_at_cap", "length_at_cap"])
+    (["--samples", "1000000000"], 1),
+    (["--samples", "100000"], 0),
+], ids=["direction_1e9", "length_1e6", "length_1e9", "direction_at_cap", "length_at_cap",
+        "samples_1e9", "samples_at_cap"])
 def test_oversized_inputs_finish_in_time(tmp_path, argv, code):
     proc = run_child("intersection", "--origami", L3_PATH,
                      "--out", str(tmp_path / "p.csv"), *argv, timeout=10)
@@ -419,3 +422,33 @@ def test_coefficient_too_large_for_a_float_is_an_input_error(tmp_path, mode, pay
     assert proc.returncode == 1
     assert proc.stdout == ""
     assert proc.stderr == "error: a coefficient is too large for a float\n"
+
+
+# Well-formed JSON of another shape: each loader names the shape it expects.
+@pytest.mark.parametrize("command, payload, shape", [
+    (["smoothness", "--path"], [[5]], "a path must be a list of rows"),
+    (["smoothness", "--path"], [[[["1/2"]]]], "a path must be a list of rows"),
+    (["smoothness", "--charpoly", "--path"], [5], "a charpoly must be a list of one list"),
+    (["smoothness", "--charpoly", "--path"], {"a": 1}, "a charpoly must be a list of one list"),
+    (["intersection", "--origami"], {"n": 2, "h": 5, "v": [1, 2]},
+     'origami JSON must be {"n": int, "h": [...], "v": [...]}'),
+], ids=["path_int_entry", "path_one_element_pair", "charpoly_int_row", "charpoly_object",
+        "origami_int_h"])
+def test_json_of_another_shape_is_an_input_error(tmp_path, command, payload, shape):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(payload))
+    proc = run_child(*command, str(path), "--out", str(tmp_path / "out"), timeout=10)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert re.fullmatch(r"error: [^\n]*\n", proc.stderr) and shape in proc.stderr
+
+
+def test_discriminant_whose_roots_underflow_has_no_branch_point(tmp_path):
+    # y**2 - 1/4 - 10**-400 t: the deflated discriminant's leading float
+    # coefficient is 0.0, so np.roots finds no root and the radius is free
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps([[["-1/4", "0"], ["-1e-400", "0"]], [], [["1", "0"]]]))
+    proc = run_child("smoothness", "--charpoly", "--path", str(path), timeout=10)
+    assert proc.returncode == 0 and proc.stderr == ""
+    payload = json.loads(proc.stdout)
+    assert (payload["K"], payload["monodromy_K"], payload["agreement"]) == (1, 1, True)

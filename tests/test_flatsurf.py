@@ -14,11 +14,13 @@ from rigidity import data
 from rigidity.flatsurf import (
     BadPermutation,
     ConstantProfile,
+    MAX_SAMPLES,
     FlatMulticurve,
     NonTransitive,
     NotPrimitive,
     Origami,
     SaddleConnection,
+    _power,
     _return_permutation,
     _return_permutations,
     area,
@@ -30,6 +32,7 @@ from rigidity.flatsurf import (
     intersection_q_horizontal,
     load_origami,
     profile_nonconstancy,
+    sample_profile,
     saddle_connection_count,
     saddle_connections,
 )
@@ -200,6 +203,32 @@ def return_word_exponents(p, q):
     return exponents
 
 
+def letter_return_permutation(origami, p, q):
+    """First-return permutation of the flow in the primitive upper direction
+    (p, q), q > 0, from its crossing word of |p| + q letters; the library's
+    construction before the Stern-Brocot descent.
+
+    The flow crosses each vertical grid line (applying h, or its inverse when
+    moving left) and each horizontal one (applying v) in the order of its
+    crossing times.  The v letter j (time j/q, j = 1..q) is merged with the
+    side letter k in integer arithmetic: moving right, line k is crossed at
+    time just before k/|p| and precedes v letter j iff k*q <= j*|p|; moving
+    left, line k is crossed just after (k - 1)/|p|, so the first side letter
+    comes at once.  For a primitive vector only the last letters tie, at
+    time 1, where the vertical line is crossed first.  The word is applied to
+    all squares together, one permutation per letter.
+    """
+    side = origami._h if p > 0 else origami._h_inv
+    a, lag = abs(p), int(p < 0)
+    u, k = list(range(origami.n)), 1
+    for j in range(1, q + 1):
+        while k <= a and (k - lag) * q <= j * a:
+            u = [side[x] for x in u]
+            k += 1
+        u = [origami._v[x] for x in u]
+    return u
+
+
 def flow_orbit_period(origami, start_square, start_x, p, q):
     """Exact square-by-square straight-line flow from a bottom-edge point.
 
@@ -294,6 +323,18 @@ def test_json_bool_entries_rejected(tmp_path):
 def test_json_square_count_must_be_an_int(payload):
     with pytest.raises(BadPermutation, match="square count n must be an int"):
         Origami.from_json(payload)
+
+
+@pytest.mark.parametrize("payload, message", [
+    ('{"n": 2, "h": 5, "v": [1, 2]}', 'origami JSON must be {"n": int, "h": [...], "v": [...]}'),
+    ('{"n": 2, "h": [2, 1], "v": "12"}', 'origami JSON must be {"n": int, "h": [...], "v": [...]}'),
+    ('[1, 2]', 'origami JSON must be {"n": int, "h": [...], "v": [...]}'),
+    ('{"h": [1], "v": [1]}', "square count n must be an int, got None"),
+])
+def test_json_of_another_shape_is_refused_by_name(payload, message):
+    with pytest.raises(BadPermutation) as info:
+        Origami.from_json(payload)
+    assert str(info.value) == message
 
 
 def test_euler_characteristic_on_random_origamis():
@@ -516,8 +557,8 @@ def test_length_bound_must_be_finite_and_non_negative(bound):
 
 
 def tree_permutations(origami, max_length):
-    """The Stern-Brocot walk's permutations, checked against the crossing
-    word of _return_permutation direction by direction."""
+    """The Stern-Brocot walk's permutations, checked against the run-wise
+    descent of _return_permutation direction by direction."""
     walked = [(p, q, list(ret)) for p, q, ret in _return_permutations(origami, max_length)]
     got = {(p, q): ret for p, q, ret in walked}
     assert len(got) == len(walked), "a direction was walked twice"
@@ -703,6 +744,37 @@ def test_return_permutation_matches_exponent_construction():
             assert _return_permutation(o, p, q) == word, (p, q)
 
 
+def test_power_matches_repeated_composition():
+    rnd = random.Random(3)
+    for _ in range(20):
+        perm = list(range(rnd.randint(1, 12)))
+        rnd.shuffle(perm)
+        power = list(range(len(perm)))
+        for k in range(30):
+            assert _power(perm, k) == power, (perm, k)
+            power = [perm[x] for x in power]
+
+
+def test_return_permutation_matches_letter_word():
+    # every primitive upper direction with |p|, q <= 25 but (1, 0)
+    directions = [(p, q) for q in range(1, 26) for p in range(-25, 26) if math.gcd(p, q) == 1]
+    rnd = random.Random(19)
+    origamis = [data.origami(name) for name in data.origami_names()]
+    origamis += [random_transitive_origami(rnd, 2, 40) for _ in range(8)]
+    for o in origamis:
+        for p, q in directions:
+            assert _return_permutation(o, p, q) == letter_return_permutation(o, p, q), (o, p, q)
+    assert list(_return_permutation(L3, 1, 0)) == list(L3._h)
+
+
+def test_return_permutation_matches_letter_word_at_the_cap():
+    # |p| + q = MAX_CROSSING_LETTERS, one partial quotient of 99999
+    for name in ("l_shape_3", "grid_3x2_6"):
+        o = data.origami(name)
+        for p, q in ((1, 99999), (-1, 99999), (99999, 1)):
+            assert _return_permutation(o, p, q) == letter_return_permutation(o, p, q), (p, q)
+
+
 # ---------------------------------------------------------------------------
 # intersection profiles
 # ---------------------------------------------------------------------------
@@ -775,6 +847,12 @@ def test_multicurve_rejects_non_finite_holonomies(holonomy):
 def test_nonconstancy_rejects_tolerance_not_positive_and_finite(tolerance):
     with pytest.raises(ValueError, match="tolerance must be positive and finite"):
         profile_nonconstancy(horizontal_multicurve(L3), 360, tolerance=tolerance)
+
+
+@pytest.mark.parametrize("samples", [MAX_SAMPLES + 1, 10**9])
+def test_sample_count_over_the_cap_is_refused(samples):
+    with pytest.raises(ValueError, match=f"samples {samples} is over the cap {MAX_SAMPLES}"):
+        sample_profile(horizontal_multicurve(L3), samples)
 
 
 # ---------------------------------------------------------------------------
