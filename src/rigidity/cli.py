@@ -74,9 +74,10 @@ def _parse_direction(text):
 
 def cmd_intersection(args):
     from . import flatsurf
+    from .data import read_json
 
     _check_tolerance(args.tolerance)
-    origami = flatsurf.load_origami(args.origami)
+    origami = flatsurf.Origami.from_json(read_json(args.origami))
     direction = _parse_direction(args.direction)
     multicurve = flatsurf.FlatMulticurve.from_cylinders(
         flatsurf.cylinder_decomposition(origami, direction)
@@ -122,10 +123,10 @@ def cmd_horocycle(args):
 
 def cmd_smoothness(args):
     from . import symdom
+    from .data import read_json
     from .exactpoly import MAX_DEGREE_Y, BivariatePolynomial
 
-    with open(args.path, encoding="utf-8") as fh:
-        data = json.load(fh)
+    data = read_json(args.path)
     if args.charpoly:
         source = BivariatePolynomial.from_json(data)
         degree_y, report_of = source.degree_y, symdom.smoothness_report_from_charpoly

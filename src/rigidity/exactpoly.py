@@ -24,6 +24,8 @@ __all__ = [
 ]
 
 MAX_DEGREE_Y = 8  # degree in y of a discriminant; its cost grows steeply with it
+MAX_DIVISOR_STEPS = 10**7  # trial divisions of rational_roots, about 1.5 s at the cap
+MAX_ROOT_CANDIDATES = 10**6  # candidate pairs p, q of rational_roots
 
 
 def _to_fraction(x):
@@ -137,9 +139,10 @@ class RationalPoly:
 
     @classmethod
     def from_json(cls, pairs, shape="a polynomial must be a list of [re, im] pairs"):
-        """Ascending [re, im] coefficient pairs, each an exact decimal or
-        fraction string (or a number).  Anything but a list of two-element
-        lists raises ValueError(shape), shape naming the format read."""
+        """Ascending [re, im] coefficient pairs, each an int or an exact
+        decimal or fraction string (rigidity.data.read_json keeps any other
+        JSON number as its text; a float is read from its repr).  Anything
+        but a list of two-element lists raises ValueError(shape)."""
         if not (isinstance(pairs, list)
                 and all(isinstance(c, list) and len(c) == 2 for c in pairs)):
             raise ValueError(shape)
@@ -202,20 +205,22 @@ class RationalPoly:
         """self divided by t - r for each rational r of roots, as often as
         it divides.
 
-        Each r = s/q divides the numerators by q t - s, by synthetic division
-        on integers, for as long as every step is exact (by Gauss's lemma the
-        quotient by such a factor is integral).  The quotient of self by
-        t - s/q is q times that one, so the result is the deflated numerators
-        times the q's over self.den: the same polynomial, in the same lowest
-        terms, as divmod by t - s/q would give.
+        Each r = s/q divides the numerators exactly by q t - s
+        (_gi_exact_div), until a division leaves a remainder (by Gauss's
+        lemma the quotient by such a factor is integral).  The quotient of
+        self by t - s/q is q times that one, so the result is the deflated
+        numerators times the q's over self.den: the same polynomial, in the
+        same lowest terms, as divmod by t - s/q would give.
         """
         num, scale = self.num, 1
         for r in roots:
+            factor = ((-r.numerator, 0), (r.denominator, 0))
             while len(num) > 1:
-                quot = _gi_divide_linear(num, r.numerator, r.denominator)
-                if quot is None:
+                try:
+                    num = _gi_exact_div(num, factor)
+                except ArithmeticError:
                     break
-                num, scale = quot, scale * r.denominator
+                scale *= r.denominator
         return RationalPoly._make([(re * scale, im * scale) for re, im in num], self.den)
 
     def derivative(self):
@@ -380,7 +385,9 @@ def rational_roots(poly):
     the coefficients per call and at most four remainders per candidate.
     The Horner cost is O(d) big-integer products for each of at most
     2 tau(g_0) tau(g_d) candidates left (tau counts divisors), plus the
-    trial division that lists the divisors of g_0 and g_d once each.
+    trial division that lists the divisors of g_0 and g_d once each, in
+    isqrt(g_0) + isqrt(g_d) steps.  ValueError is raised when these steps pass
+    MAX_DIVISOR_STEPS or the pairs p, q pass MAX_ROOT_CANDIDATES.
     """
     if poly.is_zero:
         raise ValueError("every rational is a root of the zero polynomial")
@@ -393,8 +400,13 @@ def rational_roots(poly):
     # f(1) and f(-1) of the real and of the imaginary part
     at_one = (sum(re), sum(im))
     at_minus_one = (sum(re[::2]) - sum(re[1::2]), sum(im[::2]) - sum(im[1::2]))
-    numerators = _divisors(math.gcd(re[0], im[0]))
-    for q in _divisors(math.gcd(re[-1], im[-1])):
+    ends = math.gcd(re[0], im[0]), math.gcd(re[-1], im[-1])
+    if sum(map(math.isqrt, ends)) > MAX_DIVISOR_STEPS:
+        raise ValueError(f"rational roots: over {MAX_DIVISOR_STEPS} trial divisions")
+    numerators, denominators = map(_divisors, ends)
+    if len(numerators) * len(denominators) > MAX_ROOT_CANDIDATES:
+        raise ValueError(f"rational roots: over {MAX_ROOT_CANDIDATES} candidate pairs p/q")
+    for q in denominators:
         q_powers = [q**j for j in range(degree + 1)]
         for p in numerators:
             if math.gcd(p, q) > 1:
@@ -647,21 +659,6 @@ def _gi_exact_div(a, b):
     if rem:
         raise ArithmeticError("inexact polynomial division: nonzero remainder")
     return quot
-
-
-def _gi_divide_linear(a, s, q):
-    """Quotient h of a by q t - s for integers s and q > 0, or None when it
-    is not a Gaussian-integer polynomial with zero remainder.  From the top
-    down a_k = q h_(k-1) - s h_k, and the remainder a_0 + s h_0 must vanish."""
-    quot, hr, hi = [], 0, 0
-    for re, im in reversed(a[1:]):
-        (hr, rr), (hi, ri) = divmod(re + s * hr, q), divmod(im + s * hi, q)
-        if rr or ri:
-            return None
-        quot.append((hr, hi))
-    if a[0] != (-s * hr, -s * hi):
-        return None
-    return quot[::-1]
 
 
 def _bareiss_det(rows):

@@ -21,7 +21,6 @@ All operations are pure functions of immutable inputs.
 """
 
 import cmath
-import json
 import math
 from collections import namedtuple
 from dataclasses import dataclass
@@ -48,7 +47,6 @@ __all__ = [
     "FlatMulticurve",
     "ProfileExtrema",
     "build_origami",
-    "load_origami",
     "area",
     "saddle_connections",
     "saddle_connection_count",
@@ -199,8 +197,8 @@ class Origami:
         return tuple(len(c) for c in self.cone_cycles)
 
     @classmethod
-    def from_json(cls, payload):
-        data = json.loads(payload) if isinstance(payload, str) else payload
+    def from_json(cls, data):
+        """Parsed origami JSON {"n": int, "h": [...], "v": [...]}."""
         if not isinstance(data, dict) or not all(isinstance(data.get(k), list) for k in "hv"):
             raise BadPermutation('origami JSON must be {"n": int, "h": [...], "v": [...]}')
         return build_origami(data.get("n"), data["h"], data["v"])
@@ -225,12 +223,6 @@ def build_origami(n, h, v):
     if len(h) != n or len(v) != n:
         raise BadPermutation(f"h and v must both have {n} entries")
     return Origami(h, v)
-
-
-def load_origami(path):
-    """Read an origami from a JSON file {"n": int, "h": [...], "v": [...]}."""
-    with open(path, encoding="utf-8") as fh:
-        return Origami.from_json(json.load(fh))
 
 
 def area(origami):

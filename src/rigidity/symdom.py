@@ -134,8 +134,8 @@ class PolynomialMatrixPath:
     @classmethod
     def from_json(cls, data):
         """Nested lists: rows of entries, each entry a list of [re, im]
-        coefficient pairs in ascending powers of t, as exact decimal or
-        fraction strings."""
+        coefficient pairs in ascending powers of t, each read as by
+        RationalPoly.from_json."""
         shape = ("a path must be a list of rows, each a list of entries, "
                  "each a list of [re, im] pairs")
         if not (isinstance(data, list) and all(isinstance(row, list) for row in data)):

@@ -391,37 +391,59 @@ def _diagonal_path(size):
 
 # The discriminant's cap: smoothness refuses a degree in y over
 # exactpoly.MAX_DEGREE_Y before its first stage; the row at the cap answers.
-@pytest.mark.parametrize("mode, payload, code", [
-    (["--charpoly"], _linear_factor_charpoly(12), 1),
-    ([], _diagonal_path(9), 1),
-    (["--charpoly"], _linear_factor_charpoly(8), 0),
-], ids=["charpoly_degree_12", "path_9_columns", "charpoly_at_cap"])
-def test_oversized_smoothness_inputs_finish_in_time(tmp_path, mode, payload, code):
+# The trial division of rational_roots is capped too: 10^400, and the 20-digit
+# numerator of a bare 0.25000000000000000001 read from its digits, are refused.
+_DEGREE_CAP = r"error: degree \d+ in y is over the discriminant's cap 8\n"
+_DIVISOR_CAP = r"error: rational roots: over 10000000 trial divisions\n"
+
+
+@pytest.mark.parametrize("mode, text, error", [
+    (["--charpoly"], json.dumps(_linear_factor_charpoly(12)), _DEGREE_CAP),
+    ([], json.dumps(_diagonal_path(9)), _DEGREE_CAP),
+    (["--charpoly"], json.dumps(_linear_factor_charpoly(8)), None),
+    (["--charpoly"], '[[["1e400", "0"]], [["1", "0"]]]', _DIVISOR_CAP),
+    (["--charpoly"], '[[[-0.25000000000000000001, 0], [-1, 0]], [], [[1, 0]]]', _DIVISOR_CAP),
+], ids=["charpoly_degree_12", "path_9_columns", "charpoly_at_cap",
+        "charpoly_y_plus_10_400", "charpoly_bare_long_decimal"])
+def test_oversized_smoothness_inputs_finish_in_time(tmp_path, mode, text, error):
     path = tmp_path / "input.json"
-    path.write_text(json.dumps(payload))
+    path.write_text(text)
     proc = run_child("smoothness", *mode, "--path", str(path), timeout=10)
-    assert proc.returncode == code
-    if code:
+    if error:
+        assert proc.returncode == 1
         assert proc.stdout == ""
-        assert re.fullmatch(r"error: degree \d+ in y is over the discriminant's cap 8\n",
-                            proc.stderr)
+        assert re.fullmatch(error, proc.stderr)
     else:
+        assert proc.returncode == 0
         assert proc.stderr == "" and json.loads(proc.stdout)["agreement"] is True
 
 
 # A coefficient whose float conversion overflows, met first in the
-# discriminant of the charpoly and in V(0) of the path.
-@pytest.mark.parametrize("mode, payload", [
-    (["--charpoly"], [[["-1/4", "0"]], [["0", "0"], ["1e300", "0"]], [["1", "0"]]]),
-    ([], [[[["1/2", "0"], ["1e400", "0"]]]]),
-], ids=["charpoly_1e300", "path_1e400"])
-def test_coefficient_too_large_for_a_float_is_an_input_error(tmp_path, mode, payload):
+# discriminant of the charpoly and in V(0) of the path; a bare 1e400 is read
+# as the integer it spells, not as a float.
+@pytest.mark.parametrize("mode, text", [
+    (["--charpoly"], json.dumps([[["-1/4", "0"]], [["0", "0"], ["1e300", "0"]], [["1", "0"]]])),
+    ([], json.dumps([[[["1/2", "0"], ["1e400", "0"]]]])),
+    ([], '[[[["1/2", "0"], [1e400, 0]]]]'),
+], ids=["charpoly_1e300", "path_1e400", "path_bare_1e400"])
+def test_coefficient_too_large_for_a_float_is_an_input_error(tmp_path, mode, text):
     path = tmp_path / "input.json"
-    path.write_text(json.dumps(payload))
+    path.write_text(text)
     proc = run_child("smoothness", *mode, "--path", str(path), timeout=10)
     assert proc.returncode == 1
     assert proc.stdout == ""
     assert proc.stderr == "error: a coefficient is too large for a float\n"
+
+
+# NaN and Infinity are not JSON numbers, and the reader refuses them by name.
+@pytest.mark.parametrize("constant", ["NaN", "-Infinity"])
+def test_non_json_constants_are_an_input_error(tmp_path, constant):
+    path = tmp_path / "input.json"
+    path.write_text(f'[[[["1/2", "0"], [{constant}, 0]]]]')
+    proc = run_child("smoothness", "--path", str(path), timeout=10)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr == f"error: {constant} is not a JSON number\n"
 
 
 # Well-formed JSON of another shape: each loader names the shape it expects.

@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 from rigidity import data
 from rigidity.exactpoly import (
     MAX_DEGREE_Y,
+    MAX_DIVISOR_STEPS,
+    MAX_ROOT_CANDIDATES,
     BivariatePolynomial,
     GaussianRational,
     RationalPoly,
@@ -759,6 +761,22 @@ def test_fixed_root_rows_reach_the_filter_edges():
     assert rational_roots(_ROOT_ROWS["constant_720720"]) == [Fraction(-10, 3), Fraction(3, 4)]
     assert _ROOT_ROWS["constant_720720_gaussian"].num[0] == (-720720, -720720)
     assert rational_roots(_ROOT_ROWS["constant_720720_gaussian"]) == [-1, Fraction(11, 2)]
+
+
+# rational_roots refuses before its trial division runs long: the divisor
+# listing of 10**14 and 1 takes isqrt(10**14) + 1 = MAX_DIVISOR_STEPS + 1
+# steps, and 735134400, with 1,344 divisors, at both ends makes 1,806,336
+# candidate pairs.
+@pytest.mark.parametrize("coeffs, message", [
+    ([10**400, 1], f"over {MAX_DIVISOR_STEPS} trial divisions"),
+    ([10**14, 1], f"over {MAX_DIVISOR_STEPS} trial divisions"),
+    (["-0.25000000000000000001", 0, 1], f"over {MAX_DIVISOR_STEPS} trial divisions"),
+    ([735134400, 0, 735134400], f"over {MAX_ROOT_CANDIDATES} candidate pairs"),
+], ids=["ten_to_400", "steps_cap_plus_one", "long_decimal", "candidate_pairs"])
+def test_rational_roots_caps_its_trial_division(coeffs, message):
+    assert math.isqrt(10**14) == MAX_DIVISOR_STEPS
+    with pytest.raises(ValueError, match=message):
+        rational_roots(RationalPoly(coeffs))
 
 
 def divmod_deflated(poly, roots):

@@ -30,7 +30,6 @@ from rigidity.flatsurf import (
     horizontal_multicurve,
     intersection_profile,
     intersection_q_horizontal,
-    load_origami,
     profile_nonconstancy,
     sample_profile,
     saddle_connection_count,
@@ -305,14 +304,19 @@ def test_origami_reads_each_gluing_once():
     assert build_origami(2, [2, 1], (x for x in [1, 2])) == Origami([2, 1], [1, 2])
 
 
+def _read_text(tmp_path, text):
+    """text parsed by the package's JSON reader, as the CLI parses a file."""
+    path = tmp_path / "origami.json"
+    path.write_text(text, encoding="utf-8")
+    return data.read_json(path)
+
+
 def test_json_bool_entries_rejected(tmp_path):
     payload = '{"n": 2, "h": [true, 2], "v": [2, 1]}'
     with pytest.raises(BadPermutation):
-        Origami.from_json(payload)
-    path = tmp_path / "bool.json"
-    path.write_text(payload, encoding="utf-8")
+        Origami.from_json(json.loads(payload))
     with pytest.raises(BadPermutation):
-        load_origami(path)
+        Origami.from_json(_read_text(tmp_path, payload))
 
 
 @pytest.mark.parametrize("payload", [
@@ -320,9 +324,9 @@ def test_json_bool_entries_rejected(tmp_path):
     '{"n": true, "h": [1], "v": [1]}',
     '{"n": "1", "h": [1], "v": [1]}',
 ], ids=["float_n", "bool_n", "str_n"])
-def test_json_square_count_must_be_an_int(payload):
+def test_json_square_count_must_be_an_int(tmp_path, payload):
     with pytest.raises(BadPermutation, match="square count n must be an int"):
-        Origami.from_json(payload)
+        Origami.from_json(_read_text(tmp_path, payload))
 
 
 @pytest.mark.parametrize("payload, message", [
@@ -331,9 +335,9 @@ def test_json_square_count_must_be_an_int(payload):
     ('[1, 2]', 'origami JSON must be {"n": int, "h": [...], "v": [...]}'),
     ('{"h": [1], "v": [1]}', "square count n must be an int, got None"),
 ])
-def test_json_of_another_shape_is_refused_by_name(payload, message):
+def test_json_of_another_shape_is_refused_by_name(tmp_path, payload, message):
     with pytest.raises(BadPermutation) as info:
-        Origami.from_json(payload)
+        Origami.from_json(_read_text(tmp_path, payload))
     assert str(info.value) == message
 
 
@@ -346,9 +350,9 @@ def test_euler_characteristic_on_random_origamis():
         assert sum(k - 1 for k in o.cone_angles) == 2 * o.genus - 2
 
 
-def test_json_round_trip():
+def test_json_round_trip(tmp_path):
     payload = {"n": L3.n, "h": list(L3.h_images), "v": list(L3.v_images)}
-    assert Origami.from_json(json.dumps(payload)) == L3
+    assert Origami.from_json(_read_text(tmp_path, json.dumps(payload))) == L3
 
 
 # ---------------------------------------------------------------------------

@@ -126,3 +126,22 @@ def test_every_name_in_all_resolves():
         if names:
             missing[path.stem] = names
     assert missing == {}
+
+
+def test_json_text_is_parsed_by_one_reader():
+    # every input file goes through data.read_json, which keeps the digits
+    # of each bare number; json.load elsewhere would round them to floats
+    package = Path(rigidity.__file__).resolve().parent
+    parsers = []
+    for path in sorted(package.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        assert not [n for n in ast.walk(tree)
+                    if isinstance(n, ast.ImportFrom) and n.module == "json"], path
+        for func in ast.walk(tree):
+            if not isinstance(func, ast.FunctionDef):
+                continue
+            parsers += [f"{path.relative_to(package).as_posix()}:{func.name}"
+                        for n in ast.walk(func)
+                        if isinstance(n, ast.Attribute) and n.attr in ("load", "loads")
+                        and isinstance(n.value, ast.Name) and n.value.id == "json"]
+    assert parsers == ["data/__init__.py:read_json"]

@@ -313,6 +313,23 @@ def test_charpoly_json_reader():
     assert BivariatePolynomial.from_json(raw) == SQRT_BRANCH
 
 
+# A bare JSON number is read from its digits, as its string spelling is;
+# json.load alone rounds the first to 1/4 and the other two to 0.
+@pytest.mark.parametrize("literal", ["0.25000000000000000001", "1e-400", "-1e-400"])
+def test_bare_numbers_are_read_exactly(tmp_path, literal):
+    file = tmp_path / "input.json"
+    read = {}
+    for spelling in (literal, f'"{literal}"'):
+        file.write_text(f'[[[[{spelling}, 0], ["1/4", "0"]]]]')
+        entry = PolynomialMatrixPath.from_json(data.read_json(file)).entries[0][0]
+        file.write_text(f'[[["-1/4", "0"], [{spelling}, 0]], [], [["1", "0"]]]')
+        read[spelling] = entry, BivariatePolynomial.from_json(data.read_json(file))
+    assert read[literal] == read[f'"{literal}"']
+    entry, charpoly = read[literal]
+    assert entry == RationalPoly([Fraction(literal), Fraction(1, 4)])
+    assert charpoly.coeffs[0] == RationalPoly([Fraction(-1, 4), Fraction(literal)])
+
+
 # ---------------------------------------------------------------------------
 # newton polygon branch analysis
 # ---------------------------------------------------------------------------
