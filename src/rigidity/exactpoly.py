@@ -201,28 +201,6 @@ class RationalPoly:
             raise ValueError(f"polynomial is not divisible by t**{k}")
         return RationalPoly._make(self.num[k:], self.den)
 
-    def deflate(self, roots):
-        """self divided by t - r for each rational r of roots, as often as
-        it divides.
-
-        Each r = s/q divides the numerators exactly by q t - s
-        (_gi_exact_div), until a division leaves a remainder (by Gauss's
-        lemma the quotient by such a factor is integral).  The quotient of
-        self by t - s/q is q times that one, so the result is the deflated
-        numerators times the q's over self.den: the same polynomial, in the
-        same lowest terms, as divmod by t - s/q would give.
-        """
-        num, scale = self.num, 1
-        for r in roots:
-            factor = ((-r.numerator, 0), (r.denominator, 0))
-            while len(num) > 1:
-                try:
-                    num = _gi_exact_div(num, factor)
-                except ArithmeticError:
-                    break
-                scale *= r.denominator
-        return RationalPoly._make([(re * scale, im * scale) for re, im in num], self.den)
-
     def derivative(self):
         return RationalPoly._make(
             [(k * re, k * im) for k, (re, im) in enumerate(self.num)][1:], self.den)

@@ -259,7 +259,10 @@ def _norm_bound(max_length):
 
 
 def _power(perm, k):
-    """The k-th power of a 0-indexed permutation, in O(n) through its cycles."""
+    """The k-th power of a 0-indexed permutation, in O(n) through its cycles;
+    the first power is perm itself."""
+    if k == 1:
+        return perm
     out = [0] * len(perm)
     for cyc in _cycles(perm):
         for i, x in enumerate(cyc):

@@ -189,42 +189,14 @@ class PuiseuxBranchReport:
         """Branching index of arctanh(sqrt(top eigenvalue)) in t.
 
         The square root composes with the Puiseux parameter: with a vanishing
-        eigenvalue at t = 0 the leading exponent mu is halved, so the index
-        becomes lcm(denominator(mu/2), K); a positive eigenvalue keeps K.
+        eigenvalue at t = 0 the leading exponent mu is halved, so the index is
+        lcm(denominator(mu/2), K); a positive one keeps K, a constant branch 1.
         """
-        if self.leading_coefficient == 0:
+        if self.leading_exponent == 0:
             return 1
         if self.top_at_zero > 0:
             return self.K
         return math.lcm((self.leading_exponent / 2).denominator, self.K)
-
-
-def _exact_top_root_at_zero(poly):
-    """Largest real root of an exact univariate polynomial, as a Fraction.
-
-    Rational roots are found and divided out exactly, by integer synthetic
-    division of the numerators (RationalPoly.deflate); the remaining factor
-    is inspected numerically.  The top root must be rational for the polygon
-    iteration to shift exactly, so a larger irrational real root raises
-    PuiseuxError.  (Numeric multiple roots split by roughly machine-epsilon
-    to the power 1/multiplicity, hence the loose realness threshold on the
-    deflated factor.)
-    """
-    exact = rational_roots(poly)
-    if not exact:
-        raise PuiseuxError("no rational eigenvalue at t = 0; exact shifting "
-                           "is unavailable")
-    top_rational = max(exact)
-    residual = poly.deflate(exact)
-    if residual.degree >= 1:
-        leftover = np.roots(list(reversed(residual.complex_coeffs())))
-        for z in leftover:
-            if abs(z.imag) < 1e-4 and z.real > float(top_rational) + 1e-9:
-                raise PuiseuxError(
-                    f"top eigenvalue near {z.real!r} at t = 0 is irrational; "
-                    "exact shifting is unavailable"
-                )
-    return top_rational
 
 
 def _lower_hull(points):
@@ -268,23 +240,63 @@ def _polygon_edges(biv):
     return edges
 
 
+def _real_roots(free):
+    """Exact intervals (lo, hi), each holding one real root of the real
+    squarefree polynomial free and no other root, nor 0 (free(0) != 0).  A
+    linear free gives its root.  Otherwise np.roots solves free(2**e w), e
+    from the bit lengths of the numerators (Fujiwara's bound), so that all
+    |w| < 1; the Carstensen radii bound |free(w)| with the rounding of the
+    coefficients and of Horner's rule (np.polyval).  A disk that meets the
+    real axis but is not proved real, or holds 0, raises PuiseuxError."""
+    nums = [re for re, _ in free.num]
+    d = len(nums) - 1
+    if d == 1:
+        return [(Fraction(-nums[0], nums[1]),) * 2]
+    bits = [abs(a).bit_length() for a in nums]
+    e = 1 + max(-((bits[d] - 1 - bits[d - k]) // k) for k in range(1, d + 1))
+    scaled = [a << (e * k - min(0, e * d)) for k, a in enumerate(nums)]
+    top = 1 << abs(scaled[d]).bit_length()
+    coeffs = np.array([a / top for a in reversed(scaled)])
+    w = np.roots(coeffs).astype(complex)
+    gamma = 8 * (d + 2) * _UNIT_ROUNDOFF
+    value = np.abs(np.polyval(coeffs, w)) + np.polyval(gamma * np.abs(coeffs) + _UNDERFLOW,
+                                                       np.abs(w))
+    radii = _inclusion_radii(np.abs(w[:, None] - w), value, abs(coeffs[0]) * (1 - gamma))
+    real = _proved_real(w, radii)
+    width = (np.abs(w.imag) + radii) * (1 + 4 * _UNIT_ROUNDOFF)
+    if (~(np.abs(w.imag) > radii) & ~(real & (np.abs(w.real) > width))).any():
+        raise PuiseuxError("an inclusion disk proves a root neither real nor non-real")
+    scale = Fraction(2) ** e
+    return [((Fraction(x) - Fraction(r)) * scale, (Fraction(x) + Fraction(r)) * scale)
+            for x, r in zip(w.real[real].tolist(), width[real].tolist())]
+
+
+def _has_positive_root(poly):
+    """Whether the real polynomial poly, with poly(0) != 0, has a positive
+    root: Descartes' rule of signs settles no sign change and an odd count."""
+    signs = [re > 0 for re, _ in poly.num if re]
+    changes = sum(a != b for a, b in zip(signs, signs[1:]))
+    if changes % 2 or not changes:
+        return bool(changes)
+    return any(lo > 0 for lo, _ in _real_roots(poly.divmod(poly.gcd(poly.derivative()))[0]))
+
+
 def _real_branch_candidates(edges):
-    """Real leading terms (mu, c, q, E, z0) available at this polygon level."""
+    """Real leading terms (mu, c, q, p, (lo, hi), gcd, free) at this level:
+    c**q is the root of E in [lo, hi], gcd is gcd(E, E'), taken for a
+    nonlinear E only, and free the squarefree part E / gcd."""
     out = []
     for mu, q, p, epoly in edges:
-        for z in np.roots(list(reversed(epoly.complex_coeffs()))):
-            # multiple real roots split into conjugate pairs of spurious
-            # width ~ eps**(1/multiplicity); exact gcd logic sorts the
-            # multiplicities out later, so be generous here
-            if abs(z.imag) > 1e-5 * max(1.0, abs(z)):
-                continue  # genuinely complex: never carries the top real value
-            z0 = z.real
-            if q % 2 == 1:
-                out.append((mu, math.copysign(abs(z0) ** (1.0 / q), z0), q, p, epoly, z0))
-            elif z0 > 0:
-                root = z0 ** (1.0 / q)
-                out.append((mu, root, q, p, epoly, z0))
-                out.append((mu, -root, q, p, epoly, z0))
+        gcd, free = RationalPoly.one(), epoly
+        if epoly.degree > 1:
+            gcd = epoly.gcd(epoly.derivative())
+            free = epoly.divmod(gcd)[0]
+        for lo, hi in _real_roots(free):
+            z = (lo + hi) / 2  # c by logarithms, so that a tiny z keeps c > 0
+            c = max(math.exp((math.log(abs(z.numerator)) - math.log(z.denominator)) / q), 5e-324)
+            signs = (1, -1) if q % 2 == 0 else (1 if z > 0 else -1,)
+            if z > 0 or q % 2:
+                out += [(mu, sign * c, q, p, (lo, hi), gcd, free) for sign in signs]
     return out
 
 
@@ -302,23 +314,37 @@ def _dominance_key(cand):
 def newton_puiseux_index(P):
     """Branching index and leading term of the top eigenvalue branch at 0+.
 
-    Runs the Newton-polygon iteration on P(t, lambda_0 + nu) where lambda_0
-    is the largest eigenvalue at t = 0.  Each level picks the edge and root
-    whose leading term dominates for small positive t; a simple edge root
-    ends the iteration (the branch continues with integer exponents from
-    there on), while a multiple root triggers an exact substitution and a
-    deeper level.  The branching index K is the product of the edge
-    denominators encountered; the reported leading term is the first
-    nonconstant term of the branch expansion.  Branches that agree as exact
-    expansions terminate through the zero branch and report their common K.
+    Runs the Newton-polygon iteration on P(t, lambda_0 + nu), for a monic P
+    with real coefficients, where lambda_0 is the largest rational root of
+    P(0, .) and no root lies above it (_has_positive_root).  Each level
+    picks the edge and root whose leading term dominates for small positive
+    t, among the exact or certified real edge roots (_real_roots); a simple
+    edge root ends the iteration (the branch continues with integer
+    exponents from there on), while a multiple root, which must be rational,
+    triggers an exact substitution and a deeper level.  The branching index
+    K is the product of the edge denominators encountered; the reported
+    leading term is the first nonconstant term of the branch expansion.
+    Branches that agree as exact expansions terminate through the zero
+    branch and report their common K.
     """
     zero_at_zero = P.at_t_zero()
     if zero_at_zero.is_zero:
         raise DegenerateAtZero("P(0, y) vanishes identically")
     if not P.is_monic:
         raise ValueError("P must be monic in its eigenvalue variable")
-    lam0 = _exact_top_root_at_zero(zero_at_zero)
+    for k, c in enumerate(P.coeffs):
+        if any(im for _, im in c.num):
+            raise PuiseuxError(f"the coefficient {c!r} of y^{k} is not real")
+    exact = rational_roots(zero_at_zero)
+    if not exact:
+        raise PuiseuxError("no rational eigenvalue at t = 0; exact shifting "
+                           "is unavailable")
+    lam0 = max(exact)
     work = P.shift_y(lam0)
+    above = work.at_t_zero()
+    if _has_positive_root(above.shift_down(above.valuation)):
+        raise PuiseuxError(f"top eigenvalue at t = 0 is irrational: a root lies above "
+                           f"the largest rational one, {lam0}; exact shifting is unavailable")
 
     K = 1
     denom = 1             # product of the q's applied so far
@@ -326,7 +352,7 @@ def newton_puiseux_index(P):
     first_term = None     # (exponent, coefficient) of first nonconstant term
 
     for _ in range(64):
-        candidates = list(_real_branch_candidates(_polygon_edges(work)))
+        candidates = _real_branch_candidates(_polygon_edges(work))
         has_zero_branch = work.coeffs[0].is_zero
         if not candidates and not has_zero_branch:
             raise PuiseuxError("no real branch tends to the top eigenvalue")
@@ -337,58 +363,35 @@ def newton_puiseux_index(P):
                 return PuiseuxBranchReport(K, Fraction(0), 0j, lam0)
             return PuiseuxBranchReport(K, first_term[0], first_term[1], lam0)
 
-        mu, c_float, q, p, epoly, z0 = chosen
+        _, c_float, q, p, (lo, hi), gcd, free = chosen
         exponent_global = offset + Fraction(p, q * denom)
-
-        gcd_poly = epoly.monic().gcd(epoly.derivative())
-        scale = max(abs(co) for co in epoly.complex_coeffs())
-        is_multiple = (
-            gcd_poly.degree > 0
-            and abs(gcd_poly.eval_complex(z0)) < 1e-6 * max(1.0, scale)
-        )
-
-        if not is_multiple:
+        # [lo, hi] holds no other root of E, so the root is multiple iff the
+        # radical gcd(free, gcd) of gcd(E, E') changes sign on it
+        radical = free.gcd(gcd) if gcd.degree > 0 else gcd
+        ends = [sum(re * x**k for k, (re, _) in enumerate(radical.num)) for x in (lo, hi)]
+        if ends[0] * ends[1] > 0:
             K *= q
             if first_term is None:
                 first_term = (exponent_global, complex(c_float))
             return PuiseuxBranchReport(K, first_term[0], first_term[1], lam0)
 
-        # multiple root: substitute exactly and refine at the next level.  It
-        # is a simple root of the squarefree part, found there to full accuracy
-        free = np.roots(list(reversed(epoly.divmod(gcd_poly)[0].complex_coeffs())))
-        z0 = free[np.argmin(np.abs(free - z0))].real
-        z_exact = _match_rational_root(gcd_poly, z0)
-        c_exact = _exact_branch_coefficient(z_exact, q, c_float)
+        # multiple root: it must be rational; substitute exactly, with the
+        # sign of the candidate, and refine at the next level
+        z_exact = lo if lo == hi else next((r for r in rational_roots(gcd) if lo <= r <= hi), None)
+        if z_exact is None:
+            raise PuiseuxError("multiple edge root is irrational; exact recursion is unavailable")
+        root = rational_nth_root(abs(z_exact), q)
+        if root is None:
+            raise PuiseuxError(f"edge root {z_exact} has no rational {q}-th root; exact "
+                               "recursion is unavailable")
+        c_exact = root if c_float > 0 else -root
         work = work.substitute_puiseux(q, p, c_exact)
         K *= q
         denom *= q
         offset += Fraction(p, denom)
-        if first_term is None and c_exact != 0:
+        if first_term is None:
             first_term = (exponent_global, complex(float(c_exact)))
     raise PuiseuxError("Newton polygon iteration did not terminate")
-
-
-def _match_rational_root(gcd_poly, z0):
-    roots = rational_roots(gcd_poly)
-    matches = [r for r in roots if abs(float(r) - z0) < 1e-6]
-    if not matches:
-        raise PuiseuxError(
-            f"multiple edge root near {z0!r} is not rational; exact recursion "
-            "is unavailable"
-        )
-    return min(matches, key=lambda r: abs(float(r) - z0))
-
-
-def _exact_branch_coefficient(z_exact, q, c_float):
-    root = rational_nth_root(z_exact, q)
-    if root is None:
-        raise PuiseuxError(
-            f"edge root {z_exact} has no rational {q}-th root; exact recursion "
-            "is unavailable"
-        )
-    # for odd q the root already carries the sign of z_exact, so only the
-    # magnitude is taken from it and the sign from the numerical candidate
-    return abs(root) if c_float >= 0 else -abs(root)
 
 
 def _nearest_branch_point(P):
@@ -444,19 +447,36 @@ def _roots_at(P, ts):
     return roots
 
 
-def _top_cycle_length(P, start, radii, perm):
-    """Length of the cycle of perm through the top branch at t = radius: the
-    largest root of start that its inclusion disk (radius in radii) proves
-    real.  P(radius, .) has real coefficients, so the conjugate of a root
+def _inclusion_radii(dist, value, lead):
+    """Carstensen's inclusion radii m |W_j| (Numer. Math. 59, 1991) of roots
+    z_j of a degree-m P, from dist = |z_j - z_k|, value_j >= |P(z_j)| and
+    lead <= |leading coefficient|: W_j = P(z_j) / (lead prod_(k != j) (z_j -
+    z_k)).  A connected union of k disks holds exactly k roots."""
+    m = dist.shape[-1]
+    with np.errstate(all="ignore"):
+        return (m * _SLACK) * value / (lead * (dist + np.eye(m)).prod(axis=-1))
+
+
+def _proved_real(roots, radii):
+    """Which roots of a polynomial with real coefficients their inclusion
+    disks (radii from _inclusion_radii) prove real.  The conjugate of a root
     is a root.  The disk about Re z of radius |Im z| + R holds the root in
     the inclusion disk about z and its conjugate; if it meets no other
     inclusion disk, the two are one root, which is therefore real."""
+    with np.errstate(all="ignore"):
+        reach = (np.abs(roots.imag) + radii)[:, None] + radii
+        apart = np.abs(roots.real[:, None] - roots) > reach * _SLACK
+    return (apart | np.eye(len(roots), dtype=bool)).all(axis=1)
+
+
+def _top_cycle_length(P, start, radii, perm):
+    """Length of the cycle of perm through the top branch at t = radius: the
+    largest root of start that its inclusion disk (radius in radii) proves
+    real; P(radius, .) has real coefficients."""
     if any(im for c in P.coeffs for _, im in c.num):
         raise BranchPointOnCircle("P has a non-real coefficient, so its roots at "
                                   "t = radius cannot be proved real")
-    reach = (np.abs(start.imag) + radii)[:, None] + radii
-    apart = np.abs(start.real[:, None] - start) > reach * _SLACK
-    real = (apart | np.eye(len(start), dtype=bool)).all(axis=1)
+    real = _proved_real(start, radii)
     if not real.any():
         raise BranchPointOnCircle("no root at t = radius is proved real")
     selected = int(np.argmax(np.where(real, start.real, -np.inf)))
@@ -499,7 +519,7 @@ def _taylor_layout(degree, m):
     return SimpleNamespace(
         where=(np.minimum(k + b, m + 1), np.minimum(i + a, degree + 1)),
         weights=binom[i + a, a] * binom[k + b, b], substitute=substitute[:, :, None],
-        apart=np.diag(np.full(m, np.inf)), eye=np.eye(m))
+        apart=np.diag(np.full(m, np.inf)))
 
 
 def _taylor_maps(P, radius):
@@ -515,8 +535,8 @@ def _taylor_maps(P, radius):
     |A|; ``scales`` holds its y-coefficients at |t| = radius and radius +
     step.  ``gamma`` bounds the relative rounding of each Taylor
     coefficient, with room to spare, through the predictor substitution
-    that follows; ``substitute[e, b]`` is binom(b + e, e), ``apart`` the
-    m x m zero matrix with infinity on its diagonal and ``eye`` the identity.
+    that follows; ``substitute[e, b]`` is binom(b + e, e) and ``apart`` the
+    m x m zero matrix with infinity on its diagonal.
     """
     m = P.degree_y
     degree = max(1, *(len(c.num) - 1 for c in P.coeffs))
@@ -529,7 +549,6 @@ def _taylor_maps(P, radius):
     moduli = np.array([radius, radius + step]) * (1 + 4 * _UNIT_ROUNDOFF)
     return SimpleNamespace(
         m=m, degree=degree, step=step, substitute=layout.substitute, apart=layout.apart,
-        eye=layout.eye,
         taylor=(coeffs[layout.where] * layout.weights
                 * _powers(step, degree)[:, None, None, None]).reshape(size, size),
         scales=(_powers(moduli, degree).T @ np.abs(coeffs[:m + 1, :degree + 1]).T)[:, :, None],
@@ -596,7 +615,7 @@ def _circle_points(P, maps, ts):
     low, high = scale
     lead = np.maximum(np.abs(taylor[0, m, ::m]) - gamma * maps.scales[0, m], 0)[:, None]
     value = (np.abs(taylor[0, 0]) + gamma * low).reshape(n, m)
-    radii = (m * _SLACK) * value / (lead * (dist + maps.eye).prod(axis=2))
+    radii = _inclusion_radii(dist, value, lead)
     # |y - zeta_j| >= rho - R_j and |y - zeta_k| >= |z_j - z_k| - rho - R_k
     factors = dist - rho[:, :, None] - radii[:, None, :]
     factors[:, diagonal, diagonal] = rho - radii

@@ -474,3 +474,22 @@ def test_discriminant_whose_roots_underflow_has_no_branch_point(tmp_path):
     assert proc.returncode == 0 and proc.stderr == ""
     payload = json.loads(proc.stdout)
     assert (payload["K"], payload["monodromy_K"], payload["agreement"]) == (1, 1, True)
+
+
+# Polygon decisions that end in one error line with no numpy scalar in it.
+# y**2 - 10**-400 t: the polygon finds the real top branch 10**-200 t**(1/2),
+# but the tracker's float coefficients of P round it to y**2, whose roots it
+# cannot separate.  (y - 1)(y**2 - 2) - t: the top eigenvalue sqrt(2) at
+# t = 0 is irrational, decided exactly by Descartes' rule of signs.
+@pytest.mark.parametrize("payload, error", [
+    ([[["0", "0"], ["-1e-400", "0"]], [], [["1", "0"]]],
+     "error: cannot separate the roots at step 0 of 16\n"),
+    ([[["2", "0"], ["-1", "0"]], [["-2", "0"]], [["-1", "0"]], [["1", "0"]]],
+     "error: top eigenvalue at t = 0 is irrational: a root lies above the largest "
+     "rational one, 1; exact shifting is unavailable\n"),
+], ids=["y2_minus_tiny_t", "irrational_top"])
+def test_polygon_refusals_print_one_plain_line(capsys, tmp_path, payload, error):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(payload))
+    code, out, err = run(capsys, "smoothness", "--charpoly", "--path", str(path))
+    assert (code, out, err) == (1, "", error)

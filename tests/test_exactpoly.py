@@ -777,45 +777,3 @@ def test_rational_roots_caps_its_trial_division(coeffs, message):
     assert math.isqrt(10**14) == MAX_DIVISOR_STEPS
     with pytest.raises(ValueError, match=message):
         rational_roots(RationalPoly(coeffs))
-
-
-def divmod_deflated(poly, roots):
-    """The reference for RationalPoly.deflate: divide by t - r with
-    RationalPoly.divmod for each root r while the remainder is zero."""
-    residual = poly
-    for r in roots:
-        factor = RationalPoly([-r, 1])
-        while True:
-            quot, rem = residual.divmod(factor)
-            if residual.degree >= 1 and rem.is_zero:
-                residual = quot
-            else:
-                break
-    return residual
-
-
-def _linear_factors(lead, *roots):
-    """lead times t - r for each root r given."""
-    poly = RationalPoly([lead])
-    for r in roots:
-        poly = poly * RationalPoly([-Fraction(r), 1])
-    return poly
-
-
-@pytest.mark.parametrize("poly", [
-    *(data.charpoly(name).at_t_zero() for name in data.charpoly_names()),
-    _linear_factors("3/7", "1/2", "1/2", "1/2", "-4/3", 0, 0),
-    _linear_factors(GaussianRational("2/3", "-5/2"), 1, -1, -1, "7/6") * RationalPoly([2, 0, 1]),
-    _linear_factors(GaussianRational(0, 1), "5/8", "5/8") * RationalPoly([GaussianRational(1, 1), 3]),
-    _linear_factors(1, "-9/4"),
-    RationalPoly([-2, 0, 1]),
-    # the quotient by y - 1 has 1 as a root of its real part only
-    _linear_factors(1, 1) * (RationalPoly([-2, 1, 1]) + RationalPoly([GaussianRational(0, 5),
-                                                                      GaussianRational(0, 1)])),
-], ids=[*data.charpoly_names(), "triple_half", "non_real_lead", "gaussian_cofactor",
-        "linear", "no_rational_root", "real_part_double_root"])
-def test_deflated_residual_equals_divmod_loop(poly):
-    roots = rational_roots(poly)
-    got = poly.deflate(roots)
-    expected = divmod_deflated(poly, roots)
-    assert (got.num, got.den) == (expected.num, expected.den)

@@ -414,6 +414,66 @@ def test_puiseux_degenerate_rejected():
         newton_puiseux_index(biv([1], [0, 1], [2]))  # not monic
     with pytest.raises(PuiseuxError):
         newton_puiseux_index(biv([-2], [0], [1]))  # y^2 = 2: irrational top
+    # (y - 1/2)(y - 1/4) + i t
+    P = BivariatePolynomial([RationalPoly(["1/8", GaussianRational(0, 1)]),
+                             RationalPoly(["-3/4"]), RationalPoly.one()])
+    with pytest.raises(PuiseuxError, match=re.escape(
+            "the coefficient RationalPoly(1/8 + (0+1i)*t^1) of y^0 is not real")):
+        newton_puiseux_index(P)
+    # ((y - 5/8 - t/8)^2 + 10^-400 t^2)(y - 3/8): the top pair 5/8 + t/8 +-
+    # 10^-200 i t is not real, and no float disk tells it from a real pair
+    eps = Fraction(1, 10**400)
+    P = biv([Fraction(-75, 512), Fraction(-15, 256), -Fraction(3, 512) - 3 * eps / 8],
+            [Fraction(55, 64), Fraction(1, 4), Fraction(1, 64) + eps], ["-13/8", "-1/4"], [1])
+    with pytest.raises(PuiseuxError, match="proves a root neither real nor non-real"):
+        newton_puiseux_index(P)
+
+
+def test_puiseux_tiny_square_root_branch():
+    # y^2 - 10^-400 t: the edge polynomial z - 10^-400 is linear, so its
+    # root is exact, and the top branch 10^-200 t^(1/2) is found although
+    # 10^-400 underflows to 0 as a float
+    rep = newton_puiseux_index(biv([0, "-1e-400"], [], [1]))
+    assert (rep.K, rep.leading_exponent) == (2, Fraction(1, 2))
+    assert abs(rep.leading_coefficient - 1e-200) < 1e-210
+    # below the float range the polygon still answers: 10^-400 t^(1/2) has
+    # distance index 4, and the top branch 10^-400 t of y (y - 10^-400 t) is
+    # positive, above the zero branch, with distance index 2
+    rep = newton_puiseux_index(biv([0, "-1e-800"], [], [1]))
+    assert (rep.K, rep.leading_exponent, rep.distance_index) == (2, Fraction(1, 2), 4)
+    rep = newton_puiseux_index(biv([], [0, "-1e-400"], [1]))
+    assert (rep.K, rep.leading_exponent, rep.distance_index) == (1, 1, 2)
+    assert rep.leading_coefficient.real > 0
+    # (y - 10^-400 t)^2 - t^3: the double edge root 10^-400 is the root of
+    # the linear squarefree part, exact without a trial division of 10^400
+    eps = Fraction(1, 10**400)
+    rep = newton_puiseux_index(biv([0, 0, eps**2, -1], [0, -2 * eps], [1]))
+    assert (rep.K, rep.leading_exponent, rep.distance_index) == (2, 1, 2)
+
+
+def test_puiseux_top_root_at_zero_by_descartes_count():
+    # (y - 1)(y^2 - 2) - t: P(0, 1 + y) / y = y^2 + 2y - 1 has one sign
+    # change, so a root lies above lambda_0 = 1, and it is irrational
+    with pytest.raises(PuiseuxError, match="top eigenvalue at t = 0 is irrational: a root "
+                                           "lies above the largest rational one, 1;"):
+        newton_puiseux_index(biv([2, -1], [-2], [-1], [1]))
+    # (y - 1/2 - t)(y^2 - 2y + 2): P(0, 1/2 + y) / y = y^2 - y + 5/4 has two
+    # sign changes, and its roots 1/2 +- i are proved non-real
+    rep = newton_puiseux_index(biv([-1, -2], [3, 2], ["-5/2", -1], [1]))
+    assert (rep.K, rep.leading_exponent, rep.top_at_zero) == (1, 1, Fraction(1, 2))
+    assert abs(rep.leading_coefficient - 1.0) < 1e-9
+
+
+def test_puiseux_multiple_edge_root_decided_on_its_interval():
+    # (y - t/8)^2 (y^2 - 2t^2) + t^5: the top edge root sqrt(2) of
+    # (z - 1/8)^2 (z^2 - 2) is simple, next to the double root 1/8
+    P = biv([0, 0, 0, 0, "-1/32", 1], [0, 0, 0, "1/2"], [0, 0, "-127/64"], [0, "-1/4"], [1])
+    rep = newton_puiseux_index(P)
+    assert (rep.K, rep.leading_exponent) == (1, 1)
+    assert abs(rep.leading_coefficient - math.sqrt(2)) < 1e-9
+    # (y^2 - 2t^2)^2 + t^5: the top edge root sqrt(2) of (z^2 - 2)^2 is double
+    with pytest.raises(PuiseuxError, match="multiple edge root is irrational"):
+        newton_puiseux_index(biv([0, 0, 0, 0, 4, 1], [], [0, 0, -4], [], [1]))
 
 
 def term_gt(a, b):
@@ -895,6 +955,33 @@ def test_certified_tracker_on_products_of_branch_factors(factors):
     except (PuiseuxError, BranchPointOnCircle, DegenerateAtZero):
         return
     assert certified == fixed == polygon
+
+
+_TINY = Fraction(1, 10**400)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_factors, min_size=1, max_size=3, unique_by=lambda f: f[0]).filter(
+    lambda fs: 2 <= sum(f[3] for f in fs) <= 5), st.sampled_from([1, _TINY]))
+@example([("5/8", Fraction(0), 1, 2, Fraction(1, 16), 1), ("3/8", Fraction(0), 1, 1, 0, 1)],
+         _TINY)
+@example([("5/8", Fraction(1, 8), 1, 3, Fraction(1, 16), 3), ("1/8", Fraction(0), 1, 1, 0, 1)],
+         _TINY)
+def test_polygon_index_of_products_of_branch_factors(factors, scale):
+    # the top eigenvalue is the branch lam + b t**s + (a t**p)**(1/q) + ... of
+    # the factor with the largest lam, and its q conjugates form gcd(q, p)
+    # cycles, so K = q / gcd(q, p).  With a scaled by 10**-400, a factor
+    # with b != 0 and s q = p has the edge roots b + (a 10**-400)**(1/q) at
+    # its first level, q of them within 10**(-400/q) of b, which no float
+    # disk separates: that shape is refused, never answered
+    factors = [(lam, b, s, q, a * scale, p) for lam, b, s, q, a, p in factors]
+    P = product_of_factors(factors)
+    _, b, s, q, _, p = max(factors, key=lambda f: Fraction(f[0]))
+    if scale != 1 and b and s * q == p and q > 1:
+        with pytest.raises(PuiseuxError, match="proves a root neither real nor non-real"):
+            newton_puiseux_index(P)
+    else:
+        assert newton_puiseux_index(P).K == q // math.gcd(q, p)
 
 
 # ---------------------------------------------------------------------------
