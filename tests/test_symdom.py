@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from conftest import perfbench_gen
 from rigidity import data, symdom
-from rigidity.exactpoly import BivariatePolynomial, GaussianRational, RationalPoly
+from rigidity.exactpoly import BivariatePolynomial, GaussianRational, RationalPoly, rational_roots
 from rigidity.symdom import (
     BoundaryHit,
     BranchPointOnCircle,
@@ -462,6 +462,37 @@ def test_puiseux_top_root_at_zero_by_descartes_count():
     rep = newton_puiseux_index(biv([-1, -2], [3, 2], ["-5/2", -1], [1]))
     assert (rep.K, rep.leading_exponent, rep.top_at_zero) == (1, 1, Fraction(1, 2))
     assert abs(rep.leading_coefficient - 1.0) < 1e-9
+
+
+def _above_top_rational_root(P):
+    """P(0, lambda_0 + y) / y**k, lambda_0 the largest rational root of P(0, .)."""
+    above = P.shift_y(max(rational_roots(P.at_t_zero()))).at_t_zero()
+    return above.shift_down(above.valuation)
+
+
+def _from_roots(*roots):
+    """The monic product of y - r over the roots given."""
+    poly = RationalPoly.one()
+    for r in roots:
+        poly = poly * RationalPoly([-Fraction(r), 1])
+    return poly
+
+
+@pytest.mark.parametrize("poly, expected", [
+    *((_above_top_rational_root(data.charpoly(name)), False) for name in data.charpoly_names()),
+    (_from_roots(-1, "-5/2"), False),                      # no sign change
+    (_from_roots(1, -2, "-1/3"), True),                    # one sign change
+    (RationalPoly(["5/4", -1, 1]), False),                 # 1/2 +- i: two changes, no root
+    (_from_roots("1/2", 3), True),                         # two changes, two roots
+    (_from_roots("1/3", "1/3", -1), True),                 # double root: squarefree part
+    (RationalPoly([2, -4, 1]), True),                      # 2 +- sqrt(2)
+    (RationalPoly([4, -2, 0, 1]), False),                  # (y + 2)(y^2 - 2y + 2)
+], ids=[*data.charpoly_names(), "no_sign_change", "odd_count", "complex_pair",
+        "two_positive", "double_positive", "irrational_pair", "descartes_overcount"])
+def test_has_positive_root_above_the_top_rational_root(poly, expected):
+    # the check that no eigenvalue at t = 0 lies above lambda_0: an even
+    # Descartes count >= 2 is settled on the certified real roots
+    assert symdom._has_positive_root(poly) is expected
 
 
 def test_puiseux_multiple_edge_root_decided_on_its_interval():
