@@ -42,9 +42,9 @@ EXIT_INPUT = 1
 EXIT_TOLERANCE = 2
 EXIT_DISAGREEMENT = 3
 
-# every domain error in the package subclasses ValueError; the rest covers
-# unreadable files and structurally malformed JSON
-_DOMAIN_ERRORS = (ValueError, OSError, TypeError, KeyError)
+# every domain error in the package subclasses ValueError; OSError covers
+# unreadable files
+_DOMAIN_ERRORS = (ValueError, OSError)
 
 
 def _round15(x):

@@ -220,55 +220,59 @@ def _polygon_edges(biv):
     terms and E the polynomial whose roots z determine the leading
     coefficients c through c**q = z.
     """
-    points = []
-    for k, ck in enumerate(biv.coeffs):
-        if not ck.is_zero:
-            points.append((k, ck.valuation))
-    hull = _lower_hull(points)
+    hull = _lower_hull([(k, c.valuation) for k, c in enumerate(biv.coeffs) if not c.is_zero])
     edges = []
     for (k1, v1), (k2, v2) in zip(hull, hull[1:]):
         if v2 >= v1:
             continue
         mu = Fraction(v1 - v2, k2 - k1)
         p, q = mu.numerator, mu.denominator
-        ecoeffs = []
-        for j in range((k2 - k1) // q + 1):
-            k = k1 + j * q
-            v = v1 - j * p
-            ecoeffs.append(biv.coeffs[k].coeff(v) if k < len(biv.coeffs) else 0)
+        ecoeffs = [biv.coeffs[k1 + j * q].coeff(v1 - j * p) for j in range((k2 - k1) // q + 1)]
         edges.append((mu, q, p, RationalPoly(ecoeffs)))
     return edges
 
 
+def _sign_at(poly, x):
+    """Sign of the real polynomial poly at the rational x = a/b: that of the
+    integer b**d den poly(a/b), by Horner's rule on the numerators."""
+    acc = 0
+    for k, (c, _) in enumerate(reversed(poly.num)):
+        acc = acc * x.numerator + c * x.denominator**k
+    return (acc > 0) - (acc < 0)
+
+
 def _real_roots(free):
-    """Exact intervals (lo, hi), each holding one real root of the real
-    squarefree polynomial free and no other root, nor 0 (free(0) != 0).  A
-    linear free gives its root.  Otherwise np.roots solves free(2**e w), e
-    from the bit lengths of the numerators (Fujiwara's bound), so that all
-    |w| < 1; the Carstensen radii bound |free(w)| with the rounding of the
-    coefficients and of Horner's rule (np.polyval).  A disk that meets the
-    real axis but is not proved real, or holds 0, raises PuiseuxError."""
-    nums = [re for re, _ in free.num]
-    d = len(nums) - 1
+    """Exact intervals (lo, hi), in increasing order, each holding one real
+    root of the real squarefree polynomial free and no other root, nor 0
+    (free(0) != 0).  A linear free gives its root.  Otherwise bisection splits
+    (-2**e, 2**e], e from Fujiwara's bound on the numerators, until each part
+    holds one root, none at lo, and hi - lo <= 2**-60 |lo|.  Sturm's theorem
+    counts the roots in (lo, hi] exactly: the sign changes of free, free',
+    -rem(free, free'), ... at lo less those at hi."""
+    d = free.degree
     if d == 1:
-        return [(Fraction(-nums[0], nums[1]),) * 2]
-    bits = [abs(a).bit_length() for a in nums]
+        return [(Fraction(-free.num[0][0], free.num[1][0]),) * 2]
+    bits = [abs(re).bit_length() for re, _ in free.num]
     e = 1 + max(-((bits[d] - 1 - bits[d - k]) // k) for k in range(1, d + 1))
-    scaled = [a << (e * k - min(0, e * d)) for k, a in enumerate(nums)]
-    top = 1 << abs(scaled[d]).bit_length()
-    coeffs = np.array([a / top for a in reversed(scaled)])
-    w = np.roots(coeffs).astype(complex)
-    gamma = 8 * (d + 2) * _UNIT_ROUNDOFF
-    value = np.abs(np.polyval(coeffs, w)) + np.polyval(gamma * np.abs(coeffs) + _UNDERFLOW,
-                                                       np.abs(w))
-    radii = _inclusion_radii(np.abs(w[:, None] - w), value, abs(coeffs[0]) * (1 - gamma))
-    real = _proved_real(w, radii)
-    width = (np.abs(w.imag) + radii) * (1 + 4 * _UNIT_ROUNDOFF)
-    if (~(np.abs(w.imag) > radii) & ~(real & (np.abs(w.real) > width))).any():
-        raise PuiseuxError("an inclusion disk proves a root neither real nor non-real")
-    scale = Fraction(2) ** e
-    return [((Fraction(x) - Fraction(r)) * scale, (Fraction(x) + Fraction(r)) * scale)
-            for x, r in zip(w.real[real].tolist(), width[real].tolist())]
+    seq = [free, free.derivative()]
+    while seq[-1].degree > 0:
+        seq.append(seq[-2].divmod(seq[-1])[1] * -1)
+
+    def changes(x):
+        signs = [s for s in (_sign_at(p, x) for p in seq) if s]
+        return sum(s != r for s, r in zip(signs, signs[1:]))
+
+    bound = Fraction(2) ** e
+    out, todo = [], [(-bound, bound, changes(-bound), changes(bound))]
+    while todo:
+        lo, hi, at_lo, at_hi = todo.pop()
+        if at_lo - at_hi == 1 and (hi - lo) * 2**60 <= abs(lo) and _sign_at(free, lo):
+            out.append((lo, hi))
+        elif at_lo > at_hi:
+            mid = (lo + hi) / 2
+            at_mid = changes(mid)
+            todo += [(mid, hi, at_mid, at_hi), (lo, mid, at_lo, at_mid)]
+    return out
 
 
 def _has_positive_root(poly):
@@ -282,9 +286,10 @@ def _has_positive_root(poly):
 
 
 def _real_branch_candidates(edges):
-    """Real leading terms (mu, c, q, p, (lo, hi), gcd, free) at this level:
-    c**q is the root of E in [lo, hi], gcd is gcd(E, E'), taken for a
-    nonlinear E only, and free the squarefree part E / gcd."""
+    """Real leading terms (mu, w, q, p, (lo, hi), gcd, free) at this level:
+    c has the sign of w and |c|**q = |w|, the exact midpoint of [lo, hi],
+    which holds one root of E; gcd is gcd(E, E'), taken for a nonlinear E
+    only, and free the squarefree part E / gcd."""
     out = []
     for mu, q, p, epoly in edges:
         gcd, free = RationalPoly.one(), epoly
@@ -292,23 +297,21 @@ def _real_branch_candidates(edges):
             gcd = epoly.gcd(epoly.derivative())
             free = epoly.divmod(gcd)[0]
         for lo, hi in _real_roots(free):
-            z = (lo + hi) / 2  # c by logarithms, so that a tiny z keeps c > 0
-            c = max(math.exp((math.log(abs(z.numerator)) - math.log(z.denominator)) / q), 5e-324)
-            signs = (1, -1) if q % 2 == 0 else (1 if z > 0 else -1,)
-            if z > 0 or q % 2:
-                out += [(mu, sign * c, q, p, (lo, hi), gcd, free) for sign in signs]
+            z = (lo + hi) / 2
+            ws = (z,) if q % 2 else (z, -z) if z > 0 else ()
+            out += [(mu, w, q, p, (lo, hi), gcd, free) for w in ws]
     return out
 
 
 def _dominance_key(cand):
-    """Sort key of the leading term (mu, c) of a candidate at small t > 0.
+    """Sort key of the leading term (mu, w) of a candidate at small t > 0.
 
     Positive terms beat negative ones; among positive terms the smaller
-    exponent mu dominates, among negative ones the larger; at equal mu the
-    larger c wins.  Edge roots are nonzero, so c never vanishes.
+    exponent mu dominates, among negative ones the larger; at equal mu (one
+    q) the larger w, so the larger c, wins.  Edge roots are nonzero.
     """
-    mu, c = cand[0], cand[1]
-    return (1, -mu, c) if c > 0 else (-1, mu, c)
+    mu, w = cand[0], cand[1]
+    return (1, -mu, w) if w > 0 else (-1, mu, w)
 
 
 def newton_puiseux_index(P):
@@ -318,7 +321,7 @@ def newton_puiseux_index(P):
     with real coefficients, where lambda_0 is the largest rational root of
     P(0, .) and no root lies above it (_has_positive_root).  Each level
     picks the edge and root whose leading term dominates for small positive
-    t, among the exact or certified real edge roots (_real_roots); a simple
+    t, among the real edge roots that _real_roots isolates exactly; a simple
     edge root ends the iteration (the branch continues with integer
     exponents from there on), while a multiple root, which must be rational,
     triggers an exact substitution and a deeper level.  The branching index
@@ -349,7 +352,7 @@ def newton_puiseux_index(P):
     K = 1
     denom = 1             # product of the q's applied so far
     offset = Fraction(0)  # accumulated exponent of the terms already fixed
-    first_term = None     # (exponent, coefficient) of first nonconstant term
+    terms = []            # (exponent, coefficient) of the terms fixed so far
 
     for _ in range(64):
         candidates = _real_branch_candidates(_polygon_edges(work))
@@ -359,21 +362,18 @@ def newton_puiseux_index(P):
         chosen = max(candidates, key=_dominance_key, default=None)
         if chosen is None or (has_zero_branch and chosen[1] <= 0):
             # the exactly-zero branch dominates: the expansion terminates
-            if first_term is None:
-                return PuiseuxBranchReport(K, Fraction(0), 0j, lam0)
-            return PuiseuxBranchReport(K, first_term[0], first_term[1], lam0)
+            return PuiseuxBranchReport(K, *(terms[0] if terms else (0, 0j)), lam0)
 
-        _, c_float, q, p, (lo, hi), gcd, free = chosen
+        _, w, q, p, (lo, hi), gcd, free = chosen
         exponent_global = offset + Fraction(p, q * denom)
         # [lo, hi] holds no other root of E, so the root is multiple iff the
         # radical gcd(free, gcd) of gcd(E, E') changes sign on it
         radical = free.gcd(gcd) if gcd.degree > 0 else gcd
-        ends = [sum(re * x**k for k, (re, _) in enumerate(radical.num)) for x in (lo, hi)]
-        if ends[0] * ends[1] > 0:
-            K *= q
-            if first_term is None:
-                first_term = (exponent_global, complex(c_float))
-            return PuiseuxBranchReport(K, first_term[0], first_term[1], lam0)
+        if _sign_at(radical, lo) * _sign_at(radical, hi) > 0:
+            # c by logarithms, so that a tiny w keeps c != 0
+            c = max(math.exp((math.log(abs(w.numerator)) - math.log(w.denominator)) / q), 5e-324)
+            terms.append((exponent_global, complex(c if w > 0 else -c)))
+            return PuiseuxBranchReport(K * q, *terms[0], lam0)
 
         # multiple root: it must be rational; substitute exactly, with the
         # sign of the candidate, and refine at the next level
@@ -384,13 +384,12 @@ def newton_puiseux_index(P):
         if root is None:
             raise PuiseuxError(f"edge root {z_exact} has no rational {q}-th root; exact "
                                "recursion is unavailable")
-        c_exact = root if c_float > 0 else -root
+        c_exact = root if w > 0 else -root
         work = work.substitute_puiseux(q, p, c_exact)
         K *= q
         denom *= q
         offset += Fraction(p, denom)
-        if first_term is None:
-            first_term = (exponent_global, complex(float(c_exact)))
+        terms.append((exponent_global, complex(float(c_exact))))
     raise PuiseuxError("Newton polygon iteration did not terminate")
 
 
@@ -453,8 +452,7 @@ def _inclusion_radii(dist, value, lead):
     lead <= |leading coefficient|: W_j = P(z_j) / (lead prod_(k != j) (z_j -
     z_k)).  A connected union of k disks holds exactly k roots."""
     m = dist.shape[-1]
-    with np.errstate(all="ignore"):
-        return (m * _SLACK) * value / (lead * (dist + np.eye(m)).prod(axis=-1))
+    return (m * _SLACK) * value / (lead * (dist + np.eye(m)).prod(axis=-1))
 
 
 def _proved_real(roots, radii):

@@ -166,6 +166,18 @@ def test_horocycle_overtight_tolerance_exits_two(capsys):
     assert "log(2)" in err
 
 
+def test_bug_in_a_computation_is_not_an_input_error(monkeypatch):
+    # only what inputs raise (ValueError, OSError) becomes an error line
+    from rigidity import chplane
+
+    def broken(theta_twist):
+        raise TypeError("broken step")
+
+    monkeypatch.setattr(chplane, "step2_verify", broken)
+    with pytest.raises(TypeError, match="broken step"):
+        main(["horocycle"])
+
+
 def test_smoothness_path_report(capsys):
     code, out, _ = run(capsys, "smoothness", "--path", DIAG_PATH)
     assert code == 0
@@ -476,18 +488,27 @@ def test_discriminant_whose_roots_underflow_has_no_branch_point(tmp_path):
     assert (payload["K"], payload["monodromy_K"], payload["agreement"]) == (1, 1, True)
 
 
+_EPS = Fraction(1, 10**400)
+
+
 # Polygon decisions that end in one error line with no numpy scalar in it.
 # y**2 - 10**-400 t: the polygon finds the real top branch 10**-200 t**(1/2),
 # but the tracker's float coefficients of P round it to y**2, whose roots it
 # cannot separate.  (y - 1)(y**2 - 2) - t: the top eigenvalue sqrt(2) at
 # t = 0 is irrational, decided exactly by Descartes' rule of signs.
+# ((y - 5/8 - t/8)**2 + 10**-400 t**2)(y - 3/8): the top pair 5/8 + t/8 +-
+# 10**-200 i t is not real, which the exact count of the edge roots tells.
 @pytest.mark.parametrize("payload, error", [
     ([[["0", "0"], ["-1e-400", "0"]], [], [["1", "0"]]],
      "error: cannot separate the roots at step 0 of 16\n"),
     ([[["2", "0"], ["-1", "0"]], [["-2", "0"]], [["-1", "0"]], [["1", "0"]]],
      "error: top eigenvalue at t = 0 is irrational: a root lies above the largest "
      "rational one, 1; exact shifting is unavailable\n"),
-], ids=["y2_minus_tiny_t", "irrational_top"])
+    ([[["-75/512", "0"], ["-15/256", "0"], [str(Fraction(-3, 512) - 3 * _EPS / 8), "0"]],
+      [["55/64", "0"], ["1/4", "0"], [str(Fraction(1, 64) + _EPS), "0"]],
+      [["-13/8", "0"], ["-1/4", "0"]], [["1", "0"]]],
+     "error: no real branch tends to the top eigenvalue\n"),
+], ids=["y2_minus_tiny_t", "irrational_top", "non_real_top_cluster"])
 def test_polygon_refusals_print_one_plain_line(capsys, tmp_path, payload, error):
     path = tmp_path / "input.json"
     path.write_text(json.dumps(payload))

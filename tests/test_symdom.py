@@ -421,11 +421,11 @@ def test_puiseux_degenerate_rejected():
             "the coefficient RationalPoly(1/8 + (0+1i)*t^1) of y^0 is not real")):
         newton_puiseux_index(P)
     # ((y - 5/8 - t/8)^2 + 10^-400 t^2)(y - 3/8): the top pair 5/8 + t/8 +-
-    # 10^-200 i t is not real, and no float disk tells it from a real pair
+    # 10^-200 i t is not real, which the exact count of the edge roots tells
     eps = Fraction(1, 10**400)
     P = biv([Fraction(-75, 512), Fraction(-15, 256), -Fraction(3, 512) - 3 * eps / 8],
             [Fraction(55, 64), Fraction(1, 4), Fraction(1, 64) + eps], ["-13/8", "-1/4"], [1])
-    with pytest.raises(PuiseuxError, match="proves a root neither real nor non-real"):
+    with pytest.raises(PuiseuxError, match="no real branch tends to the top eigenvalue"):
         newton_puiseux_index(P)
 
 
@@ -464,6 +464,9 @@ def test_puiseux_top_root_at_zero_by_descartes_count():
     assert abs(rep.leading_coefficient - 1.0) < 1e-9
 
 
+_TINY = Fraction(1, 10**400)
+
+
 def _above_top_rational_root(P):
     """P(0, lambda_0 + y) / y**k, lambda_0 the largest rational root of P(0, .)."""
     above = P.shift_y(max(rational_roots(P.at_t_zero()))).at_t_zero()
@@ -487,11 +490,14 @@ def _from_roots(*roots):
     (_from_roots("1/3", "1/3", -1), True),                 # double root: squarefree part
     (RationalPoly([2, -4, 1]), True),                      # 2 +- sqrt(2)
     (RationalPoly([4, -2, 0, 1]), False),                  # (y + 2)(y^2 - 2y + 2)
+    (RationalPoly([1 + _TINY, -2, 1]), False),             # 1 +- 10^-200 i
+    (RationalPoly([1 - _TINY, -2, 1]), True),              # 1 +- 10^-200
 ], ids=[*data.charpoly_names(), "no_sign_change", "odd_count", "complex_pair",
-        "two_positive", "double_positive", "irrational_pair", "descartes_overcount"])
+        "two_positive", "double_positive", "irrational_pair", "descartes_overcount",
+        "tiny_complex_pair", "tiny_real_pair"])
 def test_has_positive_root_above_the_top_rational_root(poly, expected):
     # the check that no eigenvalue at t = 0 lies above lambda_0: an even
-    # Descartes count >= 2 is settled on the certified real roots
+    # Descartes count >= 2 is settled on the exactly isolated real roots
     assert symdom._has_positive_root(poly) is expected
 
 
@@ -505,6 +511,13 @@ def test_puiseux_multiple_edge_root_decided_on_its_interval():
     # (y^2 - 2t^2)^2 + t^5: the top edge root sqrt(2) of (z^2 - 2)^2 is double
     with pytest.raises(PuiseuxError, match="multiple edge root is irrational"):
         newton_puiseux_index(biv([0, 0, 0, 0, 4, 1], [], [0, 0, -4], [], [1]))
+    # ((y - 1/2 - t/8)^2 - t^3)(y - 1/2 - (1/8 + d) t), d = +-10^-400: the
+    # double edge root 1/8 and the simple 1/8 + d give one float c, so only
+    # their exact order tells whether the t^(3/2) branch is on top
+    for d, K in ((_TINY, 1), (-_TINY, 2)):
+        P = product_of_factors([("1/2", Fraction(1, 8), 1, 2, Fraction(1), 3),
+                                ("1/2", Fraction(1, 8) + d, 1, 1, 0, 1)])
+        assert newton_puiseux_index(P).K == K
 
 
 def term_gt(a, b):
@@ -988,9 +1001,6 @@ def test_certified_tracker_on_products_of_branch_factors(factors):
     assert certified == fixed == polygon
 
 
-_TINY = Fraction(1, 10**400)
-
-
 @settings(max_examples=150, deadline=None)
 @given(st.lists(_factors, min_size=1, max_size=3, unique_by=lambda f: f[0]).filter(
     lambda fs: 2 <= sum(f[3] for f in fs) <= 5), st.sampled_from([1, _TINY]))
@@ -1003,16 +1013,11 @@ def test_polygon_index_of_products_of_branch_factors(factors, scale):
     # the factor with the largest lam, and its q conjugates form gcd(q, p)
     # cycles, so K = q / gcd(q, p).  With a scaled by 10**-400, a factor
     # with b != 0 and s q = p has the edge roots b + (a 10**-400)**(1/q) at
-    # its first level, q of them within 10**(-400/q) of b, which no float
-    # disk separates: that shape is refused, never answered
+    # its first level, q of them within 10**(-400/q) of b, which the exact
+    # root count separates
     factors = [(lam, b, s, q, a * scale, p) for lam, b, s, q, a, p in factors]
-    P = product_of_factors(factors)
-    _, b, s, q, _, p = max(factors, key=lambda f: Fraction(f[0]))
-    if scale != 1 and b and s * q == p and q > 1:
-        with pytest.raises(PuiseuxError, match="proves a root neither real nor non-real"):
-            newton_puiseux_index(P)
-    else:
-        assert newton_puiseux_index(P).K == q // math.gcd(q, p)
+    _, _, _, q, _, p = max(factors, key=lambda f: Fraction(f[0]))
+    assert newton_puiseux_index(product_of_factors(factors)).K == q // math.gcd(q, p)
 
 
 # ---------------------------------------------------------------------------
