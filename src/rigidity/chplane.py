@@ -25,7 +25,7 @@ are safe.
 
 import cmath
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 __all__ = [
     "OutsideBall",
@@ -76,16 +76,14 @@ class RootNotBracketed(ValueError):
     """Raised when a level-set root search cannot find a sign change."""
 
 
-@dataclass(frozen=True)
-class BallPoint:
-    z: complex
-    w: complex
+class BallPoint(namedtuple("BallPoint", "z w")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "z", complex(self.z))
-        object.__setattr__(self, "w", complex(self.w))
+    def __new__(cls, z, w):
+        self = super().__new__(cls, complex(z), complex(w))
         if self.norm_sq >= 1.0:
             raise OutsideBall(f"|({self.z}, {self.w})|^2 = {self.norm_sq} >= 1")
+        return self
 
     @property
     def norm_sq(self):
@@ -95,19 +93,20 @@ class BallPoint:
         return (self.z, self.w, 1.0)
 
 
-@dataclass(frozen=True)
-class BoundaryPoint:
+class BoundaryPoint(namedtuple("BoundaryPoint", "xi1 xi2")):
     """Point of the unit sphere boundary; stored as a unit vector in C^2."""
 
-    xi1: complex
-    xi2: complex
+    __slots__ = ()
 
-    def __post_init__(self):
-        norm = math.hypot(abs(self.xi1), abs(self.xi2))
+    def __new__(cls, xi1, xi2):
+        norm = math.hypot(abs(xi1), abs(xi2))
         if norm < 1e-10:
             raise ValueError("boundary point needs a nonzero representative")
-        object.__setattr__(self, "xi1", complex(self.xi1) / norm)
-        object.__setattr__(self, "xi2", complex(self.xi2) / norm)
+        return super().__new__(cls, complex(xi1) / norm, complex(xi2) / norm)
+
+    def __reduce__(self):
+        # normalizing again may move the last bit, so copies skip __new__
+        return tuple.__new__, (type(self), tuple(self))
 
     def homogeneous(self):
         return (self.xi1, self.xi2, 1.0)
@@ -212,7 +211,6 @@ def horocycle_level(xi, p):
     return math.exp(-busemann(xi, p))
 
 
-@dataclass(frozen=True)
 class RealGeodesic:
     """Complete unit-speed geodesic with prescribed boundary endpoints.
 
@@ -220,22 +218,28 @@ class RealGeodesic:
     M_b are null lifts of the endpoints normalized against the Hermitian
     form; t -> +inf approaches a, t -> -inf approaches b.  For endpoints
     with real coordinates the image is the straight chord between them, as
-    in the projective disk model of the real hyperbolic plane.
+    in the projective disk model of the real hyperbolic plane.  Geodesics
+    compare by identity; the lifts are computed once, here.
     """
 
-    a: BoundaryPoint
-    b: BoundaryPoint
+    __slots__ = ("a", "b", "_na", "_mb", "_norm")
 
-    def __post_init__(self):
-        na, nb = self.a.homogeneous(), self.b.homogeneous()
+    def __init__(self, a, b):
+        na, nb = a.homogeneous(), b.homogeneous()
         g = _inner(na, nb) - 1.0  # the form pairing of the two null lifts
         if abs(g) < 1e-12:
             raise CoincidentEndpoints("boundary endpoints coincide")
         # rescale the b-lift so that the pairing becomes real negative
         phase = _div(-abs(g), g.conjugate())
-        object.__setattr__(self, "_na", na)
-        object.__setattr__(self, "_mb", tuple(x * phase for x in nb))
-        object.__setattr__(self, "_norm", math.sqrt(2.0 * abs(g)))
+        values = (a, b, na, tuple(x * phase for x in nb), math.sqrt(2.0 * abs(g)))
+        for name, value in zip(self.__slots__, values):  # past __setattr__
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"RealGeodesic is immutable; cannot set {name!r}")
+
+    def __reduce__(self):
+        return RealGeodesic, (self.a, self.b)
 
     def point(self, t):
         z, w, s = (_div(math.exp(t) * x + math.exp(-t) * y, self._norm)
@@ -282,12 +286,8 @@ def _level_crossing(xi, geodesic, toward_positive):
     return _bisect(f, min(end, 0.0), max(end, 0.0))
 
 
-@dataclass(frozen=True)
-class Step2Result:
-    P1: BallPoint
-    P2: BallPoint
-    dist: float
-    intersection: float
+class Step2Result(namedtuple("Step2Result", "P1 P2 dist intersection")):
+    __slots__ = ()
 
     def to_json_dict(self):
         return {

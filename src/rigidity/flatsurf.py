@@ -23,8 +23,6 @@ All operations are pure functions of immutable inputs.
 import cmath
 import math
 from collections import namedtuple
-from dataclasses import dataclass
-from fractions import Fraction
 from itertools import groupby, repeat
 from operator import itemgetter
 
@@ -410,29 +408,26 @@ def saddle_connection_count(origami, max_length=DEFAULT_LENGTH_BOUND):
                            for d in range(1, len(mu)) if mu[d])
 
 
-@dataclass(frozen=True)
-class Cylinder:
-    circumference: float
-    height: float
-    core_holonomy: complex
+class Cylinder(namedtuple("Cylinder", "circumference height core_holonomy")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.circumference <= 0 or self.height <= 0:
+    def __new__(cls, circumference, height, core_holonomy):
+        if circumference <= 0 or height <= 0:
             raise ValueError("cylinder dimensions must be positive")
+        return super().__new__(cls, circumference, height, core_holonomy)
 
     @property
     def area(self):
         return self.circumference * self.height
 
 
-@dataclass(frozen=True)
-class CylinderDecomposition:
-    direction: tuple
-    cylinders: tuple
+class CylinderDecomposition(namedtuple("CylinderDecomposition", "direction cylinders")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.cylinders:
+    def __new__(cls, direction, cylinders):
+        if not cylinders:
             raise ValueError("a decomposition holds at least one cylinder")
+        return super().__new__(cls, direction, cylinders)
 
     def total_area(self):
         return sum(c.area for c in self.cylinders)
@@ -475,18 +470,17 @@ def cylinder_decomposition(origami, direction):
     return decomp
 
 
-@dataclass(frozen=True)
-class FlatMulticurve:
+class FlatMulticurve(namedtuple("FlatMulticurve", "components")):
     """Weighted union of flat geodesics, each a chain of holonomy vectors.
 
     Weights are positive and finite, holonomies nonzero and finite.
     """
 
-    components: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, components):
         comps = []
-        for weight, holonomies in self.components:
+        for weight, holonomies in components:
             weight = float(weight)
             holonomies = tuple(complex(v) for v in holonomies)
             if not 0 < weight < math.inf:
@@ -496,7 +490,7 @@ class FlatMulticurve:
             if not all(map(cmath.isfinite, holonomies)):
                 raise ValueError(f"holonomies must be finite, got {holonomies!r}")
             comps.append((weight, holonomies))
-        object.__setattr__(self, "components", tuple(comps))
+        return super().__new__(cls, tuple(comps))
 
     @classmethod
     def from_cylinders(cls, decomposition):
@@ -525,11 +519,7 @@ def intersection_profile(multicurve, theta):
     return total
 
 
-@dataclass(frozen=True)
-class ProfileExtrema:
-    max: float
-    min: float
-    witness_theta: float
+ProfileExtrema = namedtuple("ProfileExtrema", "max min witness_theta")
 
 
 def sample_profile(multicurve, samples):
@@ -594,5 +584,4 @@ def extremal_length_flowed(origami, t, s):
     unit-normalized structure.
     """
     scale = math.exp(t - s)
-    unit_mass = Fraction(intersection_q_horizontal(origami), origami.n)
-    return scale * scale * float(unit_mass)
+    return scale * scale * (intersection_q_horizontal(origami) / origami.n)

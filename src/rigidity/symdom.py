@@ -25,15 +25,13 @@ prove to follow the branches.
 
 import functools
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from types import SimpleNamespace
-from typing import NamedTuple
 
 import numpy as np
 
 from .exactpoly import (
-    BivariatePolynomial,
     RationalPoly,
     gram_charpoly,
     rational_nth_root,
@@ -162,8 +160,8 @@ def charpoly_path(path):
     return gram_charpoly(path.entries)
 
 
-@dataclass(frozen=True)
-class PuiseuxBranchReport:
+class PuiseuxBranchReport(namedtuple(
+        "PuiseuxBranchReport", "K leading_exponent leading_coefficient top_at_zero")):
     """Branch data of the top eigenvalue branch at t = 0+.
 
     ``leading_exponent`` and ``leading_coefficient`` describe the first
@@ -171,18 +169,16 @@ class PuiseuxBranchReport:
     ``top_at_zero`` is the exact top eigenvalue lambda_0 at t = 0.
     """
 
-    K: int
-    leading_exponent: Fraction
-    leading_coefficient: complex
-    top_at_zero: Fraction
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "leading_exponent", Fraction(self.leading_exponent))
-        object.__setattr__(self, "top_at_zero", Fraction(self.top_at_zero))
-        if self.K < 1:
+    def __new__(cls, K, leading_exponent, leading_coefficient, top_at_zero):
+        leading_exponent = Fraction(leading_exponent)
+        if K < 1:
             raise ValueError("branching index must be positive")
-        if self.leading_exponent < 0 or self.K % self.leading_exponent.denominator:
+        if leading_exponent < 0 or K % leading_exponent.denominator:
             raise ValueError("leading exponent denominator must divide K")
+        return super().__new__(cls, K, leading_exponent, leading_coefficient,
+                               Fraction(top_at_zero))
 
     @property
     def distance_index(self):
@@ -370,8 +366,14 @@ def newton_puiseux_index(P):
         # radical gcd(free, gcd) of gcd(E, E') changes sign on it
         radical = free.gcd(gcd) if gcd.degree > 0 else gcd
         if _sign_at(radical, lo) * _sign_at(radical, hi) > 0:
-            # c by logarithms, so that a tiny w keeps c != 0
-            c = max(math.exp((math.log(abs(w.numerator)) - math.log(w.denominator)) / q), 5e-324)
+            # c from |w| rounded to a float where that is normal (the bit
+            # lengths put |w| in (2**-1022, 2**1023)); by logarithms beyond,
+            # so that a tiny w keeps c != 0
+            num, den = abs(w.numerator), w.denominator
+            if -1021 <= num.bit_length() - den.bit_length() <= 1022:
+                c = (num / den) ** (1 / q)
+            else:
+                c = max(math.exp((math.log(num) - math.log(den)) / q), 5e-324)
             terms.append((exponent_global, complex(c if w > 0 else -c)))
             return PuiseuxBranchReport(K * q, *terms[0], lam0)
 
@@ -553,17 +555,8 @@ def _taylor_maps(P, radius):
         gamma=4 * (size + 3 * (degree + m) + 8) * _UNIT_ROUNDOFF)
 
 
-class _CirclePoints(NamedTuple):
-    """Per-point data of the certified tracker, one row per point; see
-    _circle_points."""
-
-    roots: np.ndarray
-    radii: np.ndarray
-    rho: np.ndarray
-    floor: np.ndarray
-    slope: np.ndarray
-    perturbation: np.ndarray
-    t: np.ndarray
+# per-point data of the certified tracker, one row per point; see _circle_points
+_CirclePoints = namedtuple("_CirclePoints", "roots radii rho floor slope perturbation t")
 
 
 def _circle_points(P, maps, ts):
@@ -754,16 +747,12 @@ def monodromy_branch_index(P, radius):
     return _track_certified(P, radius)
 
 
-@dataclass(frozen=True)
-class SmoothnessReport:
+class SmoothnessReport(namedtuple(
+        "SmoothnessReport", "fit_residual naive_residual epsilon branch charpoly")):
     """Fit residuals of the distance on [0, epsilon]; ``branch`` is the
     Puiseux analysis of ``charpoly``, and K its distance-level index."""
 
-    fit_residual: float
-    naive_residual: float
-    epsilon: float
-    branch: PuiseuxBranchReport
-    charpoly: BivariatePolynomial
+    __slots__ = ()
 
     @property
     def K(self):

@@ -1,7 +1,10 @@
+import copy
 import importlib.util
+import pickle
 import random
 from pathlib import Path
 
+import pytest
 from hypothesis import settings
 
 from rigidity.flatsurf import NonTransitive, build_origami
@@ -32,3 +35,22 @@ def perfbench_gen():
     gen = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(gen)
     return gen
+
+
+def clones(value, protocols=(0, pickle.DEFAULT_PROTOCOL)):
+    """Copies of value by copy, deepcopy, and pickle at each protocol given."""
+    return (copy.copy(value), copy.deepcopy(value),
+            *(pickle.loads(pickle.dumps(value, p)) for p in protocols))
+
+
+def assert_frozen_value(make, other, text, digest, protocols=(0, pickle.DEFAULT_PROTOCOL)):
+    """make() and other() build two unequal values of a named-tuple class;
+    text and digest are the repr and hash recorded for make()."""
+    value = make()
+    assert value == make() and value != other()
+    assert repr(value) == text and hash(value) == hash(make()) == digest
+    with pytest.raises(AttributeError):
+        setattr(value, value._fields[0], None)
+    assert not hasattr(value, "__dict__")
+    for clone in clones(value, protocols):
+        assert type(clone) is type(value) and clone == value and hash(clone) == digest

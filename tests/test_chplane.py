@@ -2,11 +2,12 @@ import cmath
 import json
 import math
 import random
+import re
 
 import numpy as np
 import pytest
 
-from conftest import perfbench_gen
+from conftest import assert_frozen_value, clones, perfbench_gen
 from rigidity import chplane
 from rigidity.chplane import (
     BallIsometry,
@@ -75,10 +76,59 @@ def test_distance_slice_agrees_with_moebius():
 
 
 def test_outside_ball_rejected():
-    with pytest.raises(OutsideBall):
+    with pytest.raises(OutsideBall, match=re.escape("|((0.8+0j), (0.7+0j))|^2 = 1.13")):
         BallPoint(0.8, 0.7)
     with pytest.raises(OutsideBall):
         BallPoint(1.0, 0.0)
+
+
+# ---------------------------------------------------------------------------
+# value classes
+# ---------------------------------------------------------------------------
+
+# each value is built twice; the repr and hash are those of the frozen
+# dataclasses these classes were, which hashed the tuple of their fields
+VALUES = {
+    "BallPoint": (lambda: BallPoint(0.25, 0.5j), lambda: BallPoint(0.25, -0.5j),
+                  "BallPoint(z=(0.25+0j), w=0.5j)", 4709661033018512011),
+    "BoundaryPoint": (lambda: BoundaryPoint(3, 4j), lambda: BoundaryPoint(3, 4),
+                      "BoundaryPoint(xi1=(0.6+0j), xi2=0.8j)", -4096414077462185410),
+    "Step2Result": (
+        lambda: Step2Result(BallPoint(1 / 3, 2 / 3), BallPoint(2 / 3, 1 / 3), math.log(2), 0.5),
+        lambda: Step2Result(BallPoint(1 / 3, 2 / 3), BallPoint(2 / 3, 1 / 3), math.log(2), 0.25),
+        "Step2Result(P1=BallPoint(z=(0.3333333333333333+0j), w=(0.6666666666666666+0j)), "
+        "P2=BallPoint(z=(0.6666666666666666+0j), w=(0.3333333333333333+0j)), "
+        "dist=0.6931471805599453, intersection=0.5)", -5598005782769982412),
+}
+
+
+@pytest.mark.parametrize("make, other, text, digest", VALUES.values(), ids=VALUES)
+def test_value_classes_are_frozen_slotted_values(make, other, text, digest):
+    assert_frozen_value(make, other, text, digest)
+
+
+def test_boundary_points_copy_and_pickle_bit_for_bit():
+    # normalizing a unit vector again can move its last bit, so a copy that
+    # ran the constructor again would differ for about a third of these
+    rnd = random.Random(33)
+    points = [BoundaryPoint(complex(rnd.uniform(-1, 1), rnd.uniform(-1, 1)),
+                            complex(rnd.uniform(-1, 1), rnd.uniform(-1, 1)))
+              for _ in range(2000)]
+    for copies in zip(*map(clones, points)):
+        assert list(copies) == points
+
+
+def test_real_geodesic_is_frozen_slotted_and_compares_by_identity():
+    a, b = BoundaryPoint(1, 0), BoundaryPoint(0, 1)
+    g = RealGeodesic(a, b)
+    for name in ("a", "_norm"):
+        with pytest.raises(AttributeError, match="immutable"):
+            setattr(g, name, b)
+    assert not hasattr(g, "__dict__")
+    assert g == g and g != RealGeodesic(a, b)
+    for clone in clones(g):
+        assert type(clone) is RealGeodesic and (clone.a, clone.b) == (a, b)
+        assert clone.point(0.3) == g.point(0.3)
 
 
 # ---------------------------------------------------------------------------
@@ -200,8 +250,9 @@ def test_horocycle_level_examples():
 def test_boundary_point_normalization():
     xi = BoundaryPoint(3, 4)
     assert abs(abs(xi.xi1) ** 2 + abs(xi.xi2) ** 2 - 1.0) < 1e-12
-    with pytest.raises(ValueError):
-        BoundaryPoint(0, 0)
+    for small in (0, 1e-11):
+        with pytest.raises(ValueError, match="boundary point needs a nonzero representative"):
+            BoundaryPoint(0, small)
 
 
 def test_ray_level_equivariance():
@@ -266,8 +317,9 @@ def test_geodesic_unit_speed_and_endpoints():
 
 
 def test_coincident_endpoints_rejected():
-    with pytest.raises(CoincidentEndpoints):
-        RealGeodesic(BoundaryPoint(1, 0), BoundaryPoint(1, 0))
+    for scale in (1, 2):
+        with pytest.raises(CoincidentEndpoints, match="boundary endpoints coincide"):
+            RealGeodesic(BoundaryPoint(scale, 0), BoundaryPoint(1, 0))
 
 
 def test_unit_level_points_on_the_chord():

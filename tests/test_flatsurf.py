@@ -9,16 +9,19 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import perfbench_gen, random_transitive_origami
+from conftest import assert_frozen_value, perfbench_gen, random_transitive_origami
 from rigidity import data
 from rigidity.flatsurf import (
     BadPermutation,
     ConstantProfile,
+    Cylinder,
+    CylinderDecomposition,
     MAX_SAMPLES,
     FlatMulticurve,
     NonTransitive,
     NotPrimitive,
     Origami,
+    ProfileExtrema,
     SaddleConnection,
     _power,
     _return_permutation,
@@ -628,6 +631,49 @@ def test_saddle_connection_value_semantics():
 def test_saddle_connection_rejects_zero_holonomy():
     with pytest.raises(ValueError, match="nonzero"):
         SaddleConnection(0, 0, 0j)
+
+
+# each value is built twice; the repr and hash are those of the frozen
+# dataclasses these classes were, which hashed the tuple of their fields
+VALUES = {
+    "Cylinder": (lambda: Cylinder(3.0, 0.5, 3 + 0j), lambda: Cylinder(3.0, 0.5, 3j),
+                 "Cylinder(circumference=3.0, height=0.5, core_holonomy=(3+0j))",
+                 5100872824621620479),
+    "CylinderDecomposition": (
+        lambda: cylinder_decomposition(L3, (1, 0)), lambda: cylinder_decomposition(L3, (0, 1)),
+        "CylinderDecomposition(direction=(1, 0), cylinders=("
+        "Cylinder(circumference=2.0, height=1.0, core_holonomy=(2+0j)), "
+        "Cylinder(circumference=1.0, height=1.0, core_holonomy=(1+0j))))",
+        -8491743503325978530),
+    "FlatMulticurve": (
+        lambda: FlatMulticurve(((1, (2, 1j)), (0.5, (1 + 1j,)))),
+        lambda: FlatMulticurve(((1, (2, 1j)),)),
+        "FlatMulticurve(components=((1.0, ((2+0j), 1j)), (0.5, ((1+1j),))))",
+        1960457532490150540),
+    "ProfileExtrema": (
+        lambda: ProfileExtrema(max=2.0, min=1.0, witness_theta=math.pi),
+        lambda: ProfileExtrema(max=2.0, min=1.0, witness_theta=0.0),
+        "ProfileExtrema(max=2.0, min=1.0, witness_theta=3.141592653589793)",
+        -19913774438682816),
+}
+
+
+@pytest.mark.parametrize("make, other, text, digest", VALUES.values(), ids=VALUES)
+def test_value_classes_are_frozen_slotted_values(make, other, text, digest):
+    assert_frozen_value(make, other, text, digest)
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: Cylinder(0.0, 1.0, 1j), "cylinder dimensions must be positive"),
+    (lambda: Cylinder(1.0, -1.0, 1j), "cylinder dimensions must be positive"),
+    (lambda: CylinderDecomposition((1, 0), ()), "a decomposition holds at least one cylinder"),
+    (lambda: FlatMulticurve(((0.0, (1j,)),)), "weights must be positive and finite"),
+    (lambda: FlatMulticurve(((1.0, ()),)), "holonomy lists must be nonempty and nonzero"),
+    (lambda: FlatMulticurve(((1.0, (1j, 0)),)), "holonomy lists must be nonempty and nonzero"),
+])
+def test_value_constructors_validate(make, message):
+    with pytest.raises(ValueError, match=message):
+        make()
 
 
 def test_census_connections_equal_constructed_ones():

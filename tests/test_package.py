@@ -45,6 +45,12 @@ def test_import_loads_no_submodule_and_no_numpy():
     assert _top_level(modules, "numpy") == []
 
 
+# modules whose import costs milliseconds and computes nothing for the
+# intersection and horocycle commands: dataclasses loads inspect, and
+# fractions loads decimal
+_IDLE_MODULES = ("dataclasses", "inspect", "fractions", "decimal")
+
+
 def test_intersection_command_loads_no_numpy(tmp_path):
     origami = data.data_path("origamis", "grid_3x2_6")
     argv = ["intersection", "--origami", origami, "--length-bound", "10",
@@ -52,6 +58,7 @@ def test_intersection_command_loads_no_numpy(tmp_path):
     modules = _fresh_modules(
         f"from rigidity.cli import main\nassert main({argv!r}) == 0")
     assert _top_level(modules, "numpy") == []
+    assert [m for m in modules if m in _IDLE_MODULES] == []
     assert "rigidity.flatsurf" in modules
 
 
@@ -81,6 +88,7 @@ del sys.modules["numpy"]
                                        reference[key]["stdout_sha256"]), key
     assert sorted(runs) == sorted(grid)
     assert _top_level(modules, "numpy") == []
+    assert [m for m in modules if m in _IDLE_MODULES] == []
     assert "rigidity.chplane" in modules
 
 
@@ -114,6 +122,20 @@ def test_no_module_uses_another_modules_private_names():
     modules = {p.stem for p in sources} | {"data"}
     offences = {p.name: _private_reaches(p, modules) for p in sources}
     assert {name: found for name, found in offences.items() if found} == {}
+
+
+def test_no_module_imports_dataclasses():
+    # value classes are namedtuple subclasses (flatsurf.SaddleConnection);
+    # dataclasses would load inspect into every command
+    package = Path(rigidity.__file__).resolve().parent
+    found = []
+    for path in sorted(package.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            names = ([a.name for a in node.names] if isinstance(node, ast.Import)
+                     else [node.module] if isinstance(node, ast.ImportFrom) else [])
+            found += [(path.name, node.lineno) for name in names
+                      if (name or "").split(".")[0] == "dataclasses"]
+    assert found == []
 
 
 def test_every_name_in_all_resolves():

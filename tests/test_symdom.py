@@ -1,5 +1,6 @@
 import json
 import math
+import pickle
 import random
 import re
 import warnings
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import perfbench_gen
+from conftest import assert_frozen_value, perfbench_gen
 from rigidity import data, symdom
 from rigidity.exactpoly import BivariatePolynomial, GaussianRational, RationalPoly, rational_roots
 from rigidity.symdom import (
@@ -513,11 +514,57 @@ def test_puiseux_multiple_edge_root_decided_on_its_interval():
         newton_puiseux_index(biv([0, 0, 0, 0, 4, 1], [], [0, 0, -4], [], [1]))
     # ((y - 1/2 - t/8)^2 - t^3)(y - 1/2 - (1/8 + d) t), d = +-10^-400: the
     # double edge root 1/8 and the simple 1/8 + d give one float c, so only
-    # their exact order tells whether the t^(3/2) branch is on top
+    # their exact order tells whether the t^(3/2) branch is on top; either
+    # way the branch leads with a coefficient that rounds to 1/8
     for d, K in ((_TINY, 1), (-_TINY, 2)):
         P = product_of_factors([("1/2", Fraction(1, 8), 1, 2, Fraction(1), 3),
                                 ("1/2", Fraction(1, 8) + d, 1, 1, 0, 1)])
-        assert newton_puiseux_index(P).K == K
+        rep = newton_puiseux_index(P)
+        assert (rep.K, rep.leading_exponent, rep.leading_coefficient) == (K, 1, 0.125 + 0j)
+
+
+def _branch_report():
+    return symdom.PuiseuxBranchReport(2, "1/2", 1 + 0j, 0)
+
+
+# each value is built twice; the repr and hash are those of the frozen
+# dataclasses these classes were, which hashed the tuple of their fields.
+# A BivariatePolynomial pickles at protocol 2 and up only, so a
+# SmoothnessReport does too
+REPORTS = {
+    "PuiseuxBranchReport": (
+        _branch_report, lambda: symdom.PuiseuxBranchReport(2, 1, 1 + 0j, 0),
+        "PuiseuxBranchReport(K=2, leading_exponent=Fraction(1, 2), "
+        "leading_coefficient=(1+0j), top_at_zero=Fraction(0, 1))", 7152507758869708141,
+        (0, pickle.DEFAULT_PROTOCOL)),
+    "SmoothnessReport": (
+        lambda: symdom.SmoothnessReport(1.5e-08, 0.0625, 0.1, _branch_report(),
+                                        data.charpoly("sqrt_branch")),
+        lambda: symdom.SmoothnessReport(1.5e-08, 0.0625, 0.2, _branch_report(),
+                                        data.charpoly("sqrt_branch")),
+        "SmoothnessReport(fit_residual=1.5e-08, naive_residual=0.0625, epsilon=0.1, "
+        "branch=PuiseuxBranchReport(K=2, leading_exponent=Fraction(1, 2), "
+        "leading_coefficient=(1+0j), top_at_zero=Fraction(0, 1)), "
+        "charpoly=BivariatePolynomial((RationalPoly(-1*t^1))*y^0 + (RationalPoly(1))*y^2))",
+        4233834404094795573, (pickle.DEFAULT_PROTOCOL,)),
+}
+
+
+@pytest.mark.parametrize("make, other, text, digest, protocols", REPORTS.values(), ids=REPORTS)
+def test_reports_are_frozen_slotted_values(make, other, text, digest, protocols):
+    assert_frozen_value(make, other, text, digest, protocols)
+
+
+def test_branch_report_coerces_and_validates():
+    rep = symdom.PuiseuxBranchReport(4, "3/4", -1j, "1/2")
+    assert rep.leading_exponent == Fraction(3, 4) and rep.top_at_zero == Fraction(1, 2)
+    assert type(rep.top_at_zero) is Fraction and rep.distance_index == 4
+    assert (_branch_report().distance_index, REPORTS["SmoothnessReport"][0]().K) == (4, 4)
+    with pytest.raises(ValueError, match="branching index must be positive"):
+        symdom.PuiseuxBranchReport(0, 0, 0j, 0)
+    for K, mu in ((3, "1/2"), (2, -1)):
+        with pytest.raises(ValueError, match="leading exponent denominator must divide K"):
+            symdom.PuiseuxBranchReport(K, mu, 1 + 0j, 0)
 
 
 def term_gt(a, b):
