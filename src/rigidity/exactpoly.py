@@ -7,8 +7,9 @@ are complex numbers with rational real and imaginary parts
 (GaussianRational); inputs are read and single coefficients are shown in
 that form.  A univariate polynomial is one tuple of Gaussian-integer
 numerators, ascending, over one positive common denominator, in lowest
-terms, and all of its arithmetic runs on integers.  Bivariate polynomials
-are stored as one such polynomial in t per power of y.
+terms; all of its arithmetic, and the exact real-root kernel (signs at
+rationals, rational roots, Sturm isolation, Descartes' test) run on integers.
+Bivariate polynomials are stored as one such polynomial in t per power of y.
 """
 
 import math
@@ -162,6 +163,10 @@ class RationalPoly:
         """Lowest exponent with a nonzero coefficient; None for zero."""
         return next((k for k, c in enumerate(self.num) if c != (0, 0)), None)
 
+    @property
+    def is_real(self):
+        return not any(im for _, im in self.num)
+
     def _scalar(self, pair):
         return GaussianRational(Fraction(pair[0], self.den), Fraction(pair[1], self.den))
 
@@ -258,6 +263,58 @@ class RationalPoly:
             return a
         return a.monic()
 
+    def sign_at(self, x):
+        """Sign of the real polynomial at the rational x = a/b: that of the
+        integer b**d den self(a/b), from _homogeneous_value."""
+        powers = [1]
+        for _ in range(self.degree):
+            powers.append(powers[-1] * x.denominator)
+        acc = _homogeneous_value([re for re, _ in self.num], x.numerator, powers) if self.num else 0
+        return (acc > 0) - (acc < 0)
+
+    def real_root_intervals(self):
+        """Exact intervals (lo, hi), in increasing order, each holding one real
+        root of the real squarefree polynomial self and no other root, nor 0
+        (self(0) != 0).  A linear self gives its root.  Otherwise bisection
+        splits (-2**e, 2**e], e from Fujiwara's bound on the numerators, until
+        each part holds one root, none at lo, and hi - lo <= 2**-60 |lo|.
+        Sturm's theorem counts the roots in (lo, hi] exactly: the sign changes
+        of self, self', -rem(self, self'), ... at lo less those at hi."""
+        d = self.degree
+        if d == 1:
+            return [(Fraction(-self.num[0][0], self.num[1][0]),) * 2]
+        bits = [abs(re).bit_length() for re, _ in self.num]
+        e = 1 + max(-((bits[d] - 1 - bits[d - k]) // k) for k in range(1, d + 1))
+        seq = [self, self.derivative()]
+        while seq[-1].degree > 0:
+            seq.append(seq[-2].divmod(seq[-1])[1] * -1)
+
+        def changes(x):
+            signs = [s for s in (p.sign_at(x) for p in seq) if s]
+            return sum(s != r for s, r in zip(signs, signs[1:]))
+
+        bound = Fraction(2) ** e
+        out, todo = [], [(-bound, bound, changes(-bound), changes(bound))]
+        while todo:
+            lo, hi, at_lo, at_hi = todo.pop()
+            if at_lo - at_hi == 1 and (hi - lo) * 2**60 <= abs(lo) and self.sign_at(lo):
+                out.append((lo, hi))
+            elif at_lo > at_hi:
+                mid = (lo + hi) / 2
+                at_mid = changes(mid)
+                todo += [(mid, hi, at_mid, at_hi), (lo, mid, at_lo, at_mid)]
+        return out
+
+    def has_positive_root(self):
+        """Whether the real polynomial self, with self(0) != 0, has a positive
+        root: Descartes' rule of signs settles no sign change and an odd count."""
+        signs = [re > 0 for re, _ in self.num if re]
+        changes = sum(a != b for a, b in zip(signs, signs[1:]))
+        if changes % 2 or not changes:
+            return bool(changes)
+        free = self.divmod(self.gcd(self.derivative()))[0]
+        return any(lo > 0 for lo, _ in free.real_root_intervals())
+
     def __eq__(self, other):
         if isinstance(other, RationalPoly):
             return self.num == other.num and self.den == other.den
@@ -265,6 +322,9 @@ class RationalPoly:
 
     def __hash__(self):
         return hash((self.num, self.den))
+
+    def __reduce__(self):
+        return RationalPoly._make, (self.num, self.den)
 
     def __repr__(self):
         if self.is_zero:
@@ -557,6 +617,9 @@ class BivariatePolynomial:
 
     def __hash__(self):
         return hash(self.coeffs)
+
+    def __reduce__(self):
+        return BivariatePolynomial, (self.coeffs,)
 
     def __repr__(self):
         parts = [f"({c!r})*y^{k}" for k, c in enumerate(self.coeffs) if not c.is_zero]

@@ -7,15 +7,14 @@ to the sup of the two one-dimensional factors.
 
 The second half of the module studies how that distance behaves along a
 polynomial matrix path V(t): the characteristic polynomial
-P(t, y) = det(y I - V(t)* V(t)) is computed exactly on Gaussian-integer
-numerators over one common denominator (see :mod:`rigidity.exactpoly`),
-the branch of eigenvalues carrying the top singular value near t = 0+ is
-resolved by the Newton-polygon (Puiseux) iteration, and an independent
-numerical monodromy tracker on a certified adaptive grid around a small
-circle |t| = r, starting at the largest root it proves real, double-checks
-the branching index.  ``smoothness_report`` certifies that the distance
-is a smooth function of t**(1/K) by polynomial fitting in the
-reparametrized variable.
+P(t, y) = det(y I - V(t)* V(t)) is computed exactly, the branch of
+eigenvalues carrying the top singular value near t = 0+ is resolved by the
+Newton-polygon (Puiseux) iteration, with every root decision made exactly
+by :mod:`rigidity.exactpoly`, and an independent numerical monodromy
+tracker on a certified adaptive grid around a small circle |t| = r,
+starting at the largest root it proves real, double-checks the branching
+index.  ``smoothness_report`` certifies that the distance is a smooth
+function of t**(1/K) by polynomial fitting in the reparametrized variable.
 
 All objects are immutable and every function is pure.  The sampler
 solves all its points in one stacked numpy call, and so does each round
@@ -228,59 +227,6 @@ def _polygon_edges(biv):
     return edges
 
 
-def _sign_at(poly, x):
-    """Sign of the real polynomial poly at the rational x = a/b: that of the
-    integer b**d den poly(a/b), by Horner's rule on the numerators."""
-    acc = 0
-    for k, (c, _) in enumerate(reversed(poly.num)):
-        acc = acc * x.numerator + c * x.denominator**k
-    return (acc > 0) - (acc < 0)
-
-
-def _real_roots(free):
-    """Exact intervals (lo, hi), in increasing order, each holding one real
-    root of the real squarefree polynomial free and no other root, nor 0
-    (free(0) != 0).  A linear free gives its root.  Otherwise bisection splits
-    (-2**e, 2**e], e from Fujiwara's bound on the numerators, until each part
-    holds one root, none at lo, and hi - lo <= 2**-60 |lo|.  Sturm's theorem
-    counts the roots in (lo, hi] exactly: the sign changes of free, free',
-    -rem(free, free'), ... at lo less those at hi."""
-    d = free.degree
-    if d == 1:
-        return [(Fraction(-free.num[0][0], free.num[1][0]),) * 2]
-    bits = [abs(re).bit_length() for re, _ in free.num]
-    e = 1 + max(-((bits[d] - 1 - bits[d - k]) // k) for k in range(1, d + 1))
-    seq = [free, free.derivative()]
-    while seq[-1].degree > 0:
-        seq.append(seq[-2].divmod(seq[-1])[1] * -1)
-
-    def changes(x):
-        signs = [s for s in (_sign_at(p, x) for p in seq) if s]
-        return sum(s != r for s, r in zip(signs, signs[1:]))
-
-    bound = Fraction(2) ** e
-    out, todo = [], [(-bound, bound, changes(-bound), changes(bound))]
-    while todo:
-        lo, hi, at_lo, at_hi = todo.pop()
-        if at_lo - at_hi == 1 and (hi - lo) * 2**60 <= abs(lo) and _sign_at(free, lo):
-            out.append((lo, hi))
-        elif at_lo > at_hi:
-            mid = (lo + hi) / 2
-            at_mid = changes(mid)
-            todo += [(mid, hi, at_mid, at_hi), (lo, mid, at_lo, at_mid)]
-    return out
-
-
-def _has_positive_root(poly):
-    """Whether the real polynomial poly, with poly(0) != 0, has a positive
-    root: Descartes' rule of signs settles no sign change and an odd count."""
-    signs = [re > 0 for re, _ in poly.num if re]
-    changes = sum(a != b for a, b in zip(signs, signs[1:]))
-    if changes % 2 or not changes:
-        return bool(changes)
-    return any(lo > 0 for lo, _ in _real_roots(poly.divmod(poly.gcd(poly.derivative()))[0]))
-
-
 def _real_branch_candidates(edges):
     """Real leading terms (mu, w, q, p, (lo, hi), gcd, free) at this level:
     c has the sign of w and |c|**q = |w|, the exact midpoint of [lo, hi],
@@ -292,7 +238,7 @@ def _real_branch_candidates(edges):
         if epoly.degree > 1:
             gcd = epoly.gcd(epoly.derivative())
             free = epoly.divmod(gcd)[0]
-        for lo, hi in _real_roots(free):
+        for lo, hi in free.real_root_intervals():
             z = (lo + hi) / 2
             ws = (z,) if q % 2 else (z, -z) if z > 0 else ()
             out += [(mu, w, q, p, (lo, hi), gcd, free) for w in ws]
@@ -315,16 +261,16 @@ def newton_puiseux_index(P):
 
     Runs the Newton-polygon iteration on P(t, lambda_0 + nu), for a monic P
     with real coefficients, where lambda_0 is the largest rational root of
-    P(0, .) and no root lies above it (_has_positive_root).  Each level
-    picks the edge and root whose leading term dominates for small positive
-    t, among the real edge roots that _real_roots isolates exactly; a simple
-    edge root ends the iteration (the branch continues with integer
-    exponents from there on), while a multiple root, which must be rational,
-    triggers an exact substitution and a deeper level.  The branching index
-    K is the product of the edge denominators encountered; the reported
-    leading term is the first nonconstant term of the branch expansion.
-    Branches that agree as exact expansions terminate through the zero
-    branch and report their common K.
+    P(0, .) and no root lies above it (RationalPoly.has_positive_root).
+    Each level picks the edge and root whose leading term dominates for
+    small positive t, among the real edge roots that real_root_intervals
+    isolates exactly; a simple edge root ends the iteration (the branch
+    continues with integer exponents from there on), while a multiple root,
+    which must be rational, triggers an exact substitution and a deeper
+    level.  The branching index K is the product of the edge denominators
+    encountered; the reported leading term is the first nonconstant term of
+    the branch expansion.  Branches that agree as exact expansions terminate
+    through the zero branch and report their common K.
     """
     zero_at_zero = P.at_t_zero()
     if zero_at_zero.is_zero:
@@ -332,7 +278,7 @@ def newton_puiseux_index(P):
     if not P.is_monic:
         raise ValueError("P must be monic in its eigenvalue variable")
     for k, c in enumerate(P.coeffs):
-        if any(im for _, im in c.num):
+        if not c.is_real:
             raise PuiseuxError(f"the coefficient {c!r} of y^{k} is not real")
     exact = rational_roots(zero_at_zero)
     if not exact:
@@ -341,7 +287,7 @@ def newton_puiseux_index(P):
     lam0 = max(exact)
     work = P.shift_y(lam0)
     above = work.at_t_zero()
-    if _has_positive_root(above.shift_down(above.valuation)):
+    if above.shift_down(above.valuation).has_positive_root():
         raise PuiseuxError(f"top eigenvalue at t = 0 is irrational: a root lies above "
                            f"the largest rational one, {lam0}; exact shifting is unavailable")
 
@@ -365,15 +311,11 @@ def newton_puiseux_index(P):
         # [lo, hi] holds no other root of E, so the root is multiple iff the
         # radical gcd(free, gcd) of gcd(E, E') changes sign on it
         radical = free.gcd(gcd) if gcd.degree > 0 else gcd
-        if _sign_at(radical, lo) * _sign_at(radical, hi) > 0:
-            # c from |w| rounded to a float where that is normal (the bit
-            # lengths put |w| in (2**-1022, 2**1023)); by logarithms beyond,
-            # so that a tiny w keeps c != 0
-            num, den = abs(w.numerator), w.denominator
-            if -1021 <= num.bit_length() - den.bit_length() <= 1022:
-                c = (num / den) ** (1 / q)
-            else:
-                c = max(math.exp((math.log(num) - math.log(den)) / q), 5e-324)
+        if radical.sign_at(lo) * radical.sign_at(hi) > 0:
+            # c = 2**k (|w| / 2**(q k))**(1/q), the quotient exact and near 1,
+            # so a |w| beyond the float range keeps its digits and c != 0
+            k = (abs(w.numerator).bit_length() - w.denominator.bit_length()) // q
+            c = max(math.ldexp(float(abs(w) / Fraction(2) ** (q * k)) ** (1 / q), k), 5e-324)
             terms.append((exponent_global, complex(c if w > 0 else -c)))
             return PuiseuxBranchReport(K * q, *terms[0], lam0)
 
@@ -417,8 +359,8 @@ def _values_at(polys, ts):
     eval_complex bit for bit: Horner's rule runs in its real and imaginary
     float steps.  Each ends in + coefficient, never -0.0, so re + 1j im is exact."""
     t = np.asarray(ts, dtype=complex)[:, None]
-    width = max(len(p.num) for p in polys)
-    coeffs = np.array([p.complex_coeffs() + [0j] * (width - len(p.num)) for p in polys])
+    width = 1 + max(p.degree for p in polys)
+    coeffs = np.array([p.complex_coeffs() + [0j] * (width - 1 - p.degree) for p in polys])
     re = im = np.zeros((len(t), len(polys)))
     with np.errstate(over="ignore", invalid="ignore"):  # silent, as float arithmetic is
         for c in coeffs.T[::-1]:
@@ -473,7 +415,7 @@ def _top_cycle_length(P, start, radii, perm):
     """Length of the cycle of perm through the top branch at t = radius: the
     largest root of start that its inclusion disk (radius in radii) proves
     real; P(radius, .) has real coefficients."""
-    if any(im for c in P.coeffs for _, im in c.num):
+    if not all(c.is_real for c in P.coeffs):
         raise BranchPointOnCircle("P has a non-real coefficient, so its roots at "
                                   "t = radius cannot be proved real")
     real = _proved_real(start, radii)
@@ -539,10 +481,10 @@ def _taylor_maps(P, radius):
     m x m zero matrix with infinity on its diagonal.
     """
     m = P.degree_y
-    degree = max(1, *(len(c.num) - 1 for c in P.coeffs))
+    degree = max(1, *(c.degree for c in P.coeffs))
     coeffs = np.zeros((m + 2, degree + 2), dtype=complex)
     for k, c in enumerate(P.coeffs):
-        coeffs[k, :len(c.num)] = c.complex_coeffs()
+        coeffs[k, :c.degree + 1] = c.complex_coeffs()
     layout = _taylor_layout(degree, m)
     size = (degree + 1) * (m + 1)
     step = 2 * radius * math.sin(math.pi / CERTIFIED_STEPS) * _SLACK

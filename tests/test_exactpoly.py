@@ -1,4 +1,5 @@
 import math
+import pickle
 import random
 from fractions import Fraction
 
@@ -777,3 +778,101 @@ def test_rational_roots_caps_its_trial_division(coeffs, message):
     assert math.isqrt(10**14) == MAX_DIVISOR_STEPS
     with pytest.raises(ValueError, match=message):
         rational_roots(RationalPoly(coeffs))
+
+
+def test_gaussian_rational_value_semantics():
+    # a scalar equals the int, Fraction or numeric string of its value and
+    # never a float, hashes as the pair of its parts, is false only at
+    # zero, and shows its imaginary part only when it has one
+    half = GaussianRational("1/2")
+    assert half == Fraction(1, 2) and half == "0.5" and GaussianRational(3) == 3
+    assert GaussianRational(1, 1) != 1 and half != 0.5 and half != [1, 2]
+    assert half == GaussianRational(Fraction(1, 2), "0")
+    assert hash(half) == hash(GaussianRational("0.5")) == hash((Fraction(1, 2), Fraction(0)))
+    assert hash(GaussianRational(1, -2)) == hash((Fraction(1), Fraction(-2)))
+    assert not GaussianRational() and not GaussianRational("0.0", 0)
+    assert GaussianRational(0, "1/3") and half
+    assert repr(half) == "GaussianRational(1/2)"
+    assert repr(GaussianRational(1, "-2/3")) == "GaussianRational(1, -2/3)"
+    assert repr(GaussianRational(0, 1)) == "GaussianRational(0, 1)"
+
+
+def test_polynomials_pickle_at_every_protocol():
+    P = data.charpoly("sqrt_branch")
+    for value in (P, P.coeffs[0], RationalPoly.zero(),
+                  RationalPoly([GaussianRational("1/2", -3), 0, "2/9"])):
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            clone = pickle.loads(pickle.dumps(value, protocol))
+            assert type(clone) is type(value) and clone == value
+            assert hash(clone) == hash(value) and repr(clone) == repr(value)
+
+
+def test_sign_at_matches_fraction_evaluation():
+    rnd = random.Random(11)
+    for _ in range(300):
+        poly = RationalPoly([Fraction(rnd.randint(-30, 30), rnd.randint(1, 12))
+                             for _ in range(rnd.randint(1, 8))])
+        x = Fraction(rnd.randint(-40, 40), rnd.randint(1, 15))
+        value = sum(c.re * x**k for k, c in enumerate(poly.coeffs))
+        assert poly.sign_at(x) == (value > 0) - (value < 0)
+    # a root gives 0, an int is a rational, and zero is 0 everywhere
+    assert RationalPoly(["-1/4", 0, 1]).sign_at(Fraction(1, 2)) == 0
+    assert RationalPoly([-5, 1]).sign_at(7) == 1
+    assert RationalPoly(["-1e-300", "1e-100"]).sign_at(Fraction(1, 10**201)) == -1
+    assert RationalPoly.zero().sign_at(Fraction(3)) == 0
+
+
+def _squarefree_products(count, seed):
+    """Random real squarefree polynomials with no root at 0: a rational
+    multiple of distinct y - r (r != 0) and distinct irreducible
+    y^2 + b y + c (c != 0, b^2 - 4c not a rational square)."""
+    rnd = random.Random(seed)
+    out = []
+    while len(out) < count:
+        roots = {Fraction(rnd.randint(-60, 60), rnd.randint(1, 20)) for _ in range(rnd.randint(0, 4))}
+        quadratics = set()
+        for _ in range(rnd.randint(0, 3)):
+            b, c = (Fraction(rnd.randint(-30, 30), rnd.randint(1, 9)) for _ in range(2))
+            if c and rational_nth_root(b * b - 4 * c, 2) is None:
+                quadratics.add((b, c))
+        poly = RationalPoly.constant(Fraction(rnd.choice([-1, 1]) * rnd.randint(1, 50),
+                                              rnd.randint(1, 50)))
+        for r in roots - {0}:
+            poly = poly * RationalPoly([-r, 1])
+        for b, c in quadratics:
+            poly = poly * RationalPoly([c, b, 1])
+        if poly.degree > 0:
+            out.append(poly)
+    return out
+
+
+_TINY = Fraction(1, 10**200)
+# a linear polynomial, roots 10^-200 apart, a root of size 10^-200, and a
+# pair 10^-100 i off the axis
+_CLOSE_ROOTS = [
+    RationalPoly(["3/4", -6]),
+    RationalPoly([-1, 1]) * RationalPoly([-1 - _TINY, 1]) * RationalPoly([-2, 0, 1]),
+    RationalPoly([-_TINY, 1]) * RationalPoly([-3, 0, 1]),
+    RationalPoly([1 + _TINY, -2, 1]) * RationalPoly(["-1/2", 1]),
+    RationalPoly(["-1/7"]) * RationalPoly([-5, 0, 1]) * RationalPoly([_TINY, 0, 1]),
+]
+
+
+def test_real_root_intervals_match_sympy_real_roots():
+    sympy = pytest.importorskip("sympy")
+    y = sympy.Symbol("y")
+
+    def exact(x):
+        return sympy.Rational(x.numerator, x.denominator)
+
+    for poly in _squarefree_products(24, 5) + _CLOSE_ROOTS:
+        roots = sympy.real_roots(sympy.Poly([exact(c.re) for c in reversed(poly.coeffs)], y))
+        intervals = poly.real_root_intervals()
+        assert len(intervals) == len(roots)
+        assert all(a[1] <= b[0] for a, b in zip(intervals, intervals[1:]))
+        for lo, hi in intervals:
+            if lo == hi:  # a linear polynomial gives its root
+                assert poly.degree == 1 and roots == [exact(lo)]
+                continue
+            assert (hi - lo) * 2**60 <= abs(lo)
+            assert sum(bool(exact(lo) < r) and bool(r <= exact(hi)) for r in roots) == 1

@@ -124,6 +124,21 @@ def test_no_module_uses_another_modules_private_names():
     assert {name: found for name, found in offences.items() if found} == {}
 
 
+def test_only_exactpoly_reads_the_integer_layout_of_a_polynomial():
+    # RationalPoly.num and .den are exactpoly's storage; every other module
+    # goes through its methods (degree, complex_coeffs, is_real, sign_at, ...)
+    package = Path(rigidity.__file__).resolve().parent
+    found = []
+    for path in sorted(package.rglob("*.py")):
+        if path.name == "exactpoly.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [(path.relative_to(package).as_posix(), node.lineno, node.attr)
+                  for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and node.attr in ("num", "den")]
+    assert found == []
+
+
 def test_no_module_imports_dataclasses():
     # value classes are namedtuple subclasses (flatsurf.SaddleConnection);
     # dataclasses would load inspect into every command
