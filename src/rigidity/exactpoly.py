@@ -70,13 +70,17 @@ class GaussianRational:
     __rmul__ = __mul__
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction, str, GaussianRational)):
+        if isinstance(other, (int, Fraction, GaussianRational)):
             other = GaussianRational.ensure(other)
             return self.re == other.re and self.im == other.im
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        # a real value hashes as the equal int or Fraction does
+        return hash(self.re) if self.im == 0 else hash((self.re, self.im))
+
+    def __reduce__(self):
+        return GaussianRational, (self.re, self.im)
 
     def __bool__(self):
         return not self.is_zero

@@ -292,9 +292,7 @@ def newton_puiseux_index(P):
                            f"the largest rational one, {lam0}; exact shifting is unavailable")
 
     K = 1
-    denom = 1             # product of the q's applied so far
-    offset = Fraction(0)  # accumulated exponent of the terms already fixed
-    terms = []            # (exponent, coefficient) of the terms fixed so far
+    first = None  # (exponent, coefficient) of the first level's term, the reported one
 
     for _ in range(64):
         candidates = _real_branch_candidates(_polygon_edges(work))
@@ -304,20 +302,20 @@ def newton_puiseux_index(P):
         chosen = max(candidates, key=_dominance_key, default=None)
         if chosen is None or (has_zero_branch and chosen[1] <= 0):
             # the exactly-zero branch dominates: the expansion terminates
-            return PuiseuxBranchReport(K, *(terms[0] if terms else (0, 0j)), lam0)
+            return PuiseuxBranchReport(K, *(first or (0, 0j)), lam0)
 
-        _, w, q, p, (lo, hi), gcd, free = chosen
-        exponent_global = offset + Fraction(p, q * denom)
+        mu, w, q, p, (lo, hi), gcd, free = chosen
         # [lo, hi] holds no other root of E, so the root is multiple iff the
         # radical gcd(free, gcd) of gcd(E, E') changes sign on it
         radical = free.gcd(gcd) if gcd.degree > 0 else gcd
         if radical.sign_at(lo) * radical.sign_at(hi) > 0:
-            # c = 2**k (|w| / 2**(q k))**(1/q), the quotient exact and near 1,
-            # so a |w| beyond the float range keeps its digits and c != 0
-            k = (abs(w.numerator).bit_length() - w.denominator.bit_length()) // q
-            c = max(math.ldexp(float(abs(w) / Fraction(2) ** (q * k)) ** (1 / q), k), 5e-324)
-            terms.append((exponent_global, complex(c if w > 0 else -c)))
-            return PuiseuxBranchReport(K * q, *terms[0], lam0)
+            if first is None:
+                # c = 2**k (|w| / 2**(q k))**(1/q), the quotient exact and near 1,
+                # so a |w| beyond the float range keeps its digits and c != 0
+                k = (abs(w.numerator).bit_length() - w.denominator.bit_length()) // q
+                c = max(math.ldexp(float(abs(w) / Fraction(2) ** (q * k)) ** (1 / q), k), 5e-324)
+                first = (mu, complex(c if w > 0 else -c))
+            return PuiseuxBranchReport(K * q, *first, lam0)
 
         # multiple root: it must be rational; substitute exactly, with the
         # sign of the candidate, and refine at the next level
@@ -331,9 +329,7 @@ def newton_puiseux_index(P):
         c_exact = root if w > 0 else -root
         work = work.substitute_puiseux(q, p, c_exact)
         K *= q
-        denom *= q
-        offset += Fraction(p, denom)
-        terms.append((exponent_global, complex(float(c_exact))))
+        first = first or (mu, complex(float(c_exact)))
     raise PuiseuxError("Newton polygon iteration did not terminate")
 
 
@@ -411,13 +407,10 @@ def _proved_real(roots, radii):
     return (apart | np.eye(len(roots), dtype=bool)).all(axis=1)
 
 
-def _top_cycle_length(P, start, radii, perm):
+def _top_cycle_length(start, radii, perm):
     """Length of the cycle of perm through the top branch at t = radius: the
     largest root of start that its inclusion disk (radius in radii) proves
     real; P(radius, .) has real coefficients."""
-    if not all(c.is_real for c in P.coeffs):
-        raise BranchPointOnCircle("P has a non-real coefficient, so its roots at "
-                                  "t = radius cannot be proved real")
     real = _proved_real(start, radii)
     if not real.any():
         raise BranchPointOnCircle("no root at t = radius is proved real")
@@ -626,6 +619,9 @@ def _track_certified(P, radius):
     m = P.degree_y
     if m == 1:
         return 1
+    if not all(c.is_real for c in P.coeffs):
+        raise BranchPointOnCircle("P has a non-real coefficient, so its roots at "
+                                  "t = radius cannot be proved real")
     maps = _taylor_maps(P, radius)
     first = np.arange(0, CERTIFIED_GRID, CERTIFIED_GRID // CERTIFIED_STEPS)
     last = first + CERTIFIED_GRID // CERTIFIED_STEPS
@@ -657,15 +653,14 @@ def _track_certified(P, radius):
             first, last = np.concatenate([first, new]), np.concatenate([new, last])
     order = np.argsort(np.concatenate(accepted_first))
     perm = _compose(np.concatenate(accepted_match)[order].tolist(), m)
-    return _top_cycle_length(P, points.roots[0], points.radii[0], perm)
+    return _top_cycle_length(points.roots[0], points.radii[0], perm)
 
 
 def monodromy_index(P, epsilon):
     """Monodromy branch index of the top branch around |t| = r, with r the
-    least of 0.01, epsilon / 4 and half the nearest nonzero branch point:
-    one exact discriminant picks r, and by construction the circle encloses
-    and touches no branch point other than 0.  Tracked on the certified
-    grid."""
+    least of 0.01, epsilon / 4 and half the nearest nonzero branch point,
+    the smallest modulus of np.roots of the exact deflated discriminant: a
+    float step, not yet certified.  Tracked on the certified grid."""
     if not 0 < epsilon < math.inf:
         raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
     radius = min(0.01, epsilon / 4.0, 0.5 * _nearest_branch_point(P))
@@ -674,12 +669,11 @@ def monodromy_index(P, epsilon):
 
 def monodromy_branch_index(P, radius):
     """Monodromy branch index of the top branch around |t| = radius, after
-    checking through the exact discriminant that the circle encloses and
-    touches no branch point other than 0.  Tracked on the certified grid."""
+    checking that the smallest modulus of np.roots of the exact deflated
+    discriminant exceeds radius (1 + 1e-9): a float step, not yet certified.
+    Tracked on the certified grid."""
     if not 0 < radius < math.inf:
         raise ValueError(f"radius must be positive and finite, got {radius}")
-    if P.degree_y < 1:
-        raise ValueError("P must depend on the eigenvalue variable")
     closest = _nearest_branch_point(P)
     if closest <= radius * (1.0 + 1e-9):
         raise BranchPointOnCircle(
@@ -721,9 +715,11 @@ def _sample_and_fit(P, epsilon, norms_at, boundary):
         if norm > 1.0 - BALL_MARGIN:
             raise BoundaryHit(boundary.format(norm=norm, t=t))
         ds.append(math.atanh(norm))
+    naive = _fit_residual(ts, ds, 1)
+    K = branch.distance_index
     return SmoothnessReport(
-        fit_residual=_fit_residual(ts, ds, branch.distance_index),
-        naive_residual=_fit_residual(ts, ds, 1),
+        fit_residual=naive if K == 1 else _fit_residual(ts, ds, K),
+        naive_residual=naive,
         epsilon=float(epsilon),
         branch=branch,
         charpoly=P,

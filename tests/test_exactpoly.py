@@ -764,6 +764,22 @@ def test_fixed_root_rows_reach_the_filter_edges():
     assert rational_roots(_ROOT_ROWS["constant_720720_gaussian"]) == [-1, Fraction(11, 2)]
 
 
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: RationalPoly.zero().monic(), ValueError, "cannot normalize the zero polynomial"),
+    (lambda: RationalPoly([1, 1]).divmod(RationalPoly.zero()), ZeroDivisionError,
+     "polynomial division by zero"),
+    (lambda: rational_roots(RationalPoly.zero()), ValueError,
+     "every rational is a root of the zero polynomial"),
+    (lambda: rational_nth_root(2, 0), ValueError, "root order must be positive"),
+    (lambda: BivariatePolynomial([RationalPoly([0, 1])]).discriminant(), ValueError,
+     "discriminant needs degree >= 1 in y"),
+], ids=["monic_of_zero", "divide_by_zero", "roots_of_zero", "zeroth_root",
+        "discriminant_constant_in_y"])
+def test_exact_layer_refuses_degenerate_input(call, error, message):
+    with pytest.raises(error, match=f"^{message}$"):
+        call()
+
+
 # rational_roots refuses before its trial division runs long: the divisor
 # listing of 10**14 and 1 takes isqrt(10**14) + 1 = MAX_DIVISOR_STEPS + 1
 # steps, and 735134400, with 1,344 divisors, at both ends makes 1,806,336
@@ -781,14 +797,17 @@ def test_rational_roots_caps_its_trial_division(coeffs, message):
 
 
 def test_gaussian_rational_value_semantics():
-    # a scalar equals the int, Fraction or numeric string of its value and
-    # never a float, hashes as the pair of its parts, is false only at
-    # zero, and shows its imaginary part only when it has one
+    # a scalar equals the int or Fraction of its value and never a float or
+    # a string, hashes as that value when real and as the pair of its parts
+    # otherwise, is false only at zero, and shows its imaginary part only
+    # when it has one
     half = GaussianRational("1/2")
-    assert half == Fraction(1, 2) and half == "0.5" and GaussianRational(3) == 3
+    assert half == Fraction(1, 2) and half != "0.5" and GaussianRational(3) == 3
     assert GaussianRational(1, 1) != 1 and half != 0.5 and half != [1, 2]
+    assert GaussianRational(1) != "x"
     assert half == GaussianRational(Fraction(1, 2), "0")
-    assert hash(half) == hash(GaussianRational("0.5")) == hash((Fraction(1, 2), Fraction(0)))
+    assert hash(half) == hash(GaussianRational("0.5")) == hash(Fraction(1, 2))
+    assert hash(GaussianRational(3)) == hash(3) and len({GaussianRational(3), 3}) == 1
     assert hash(GaussianRational(1, -2)) == hash((Fraction(1), Fraction(-2)))
     assert not GaussianRational() and not GaussianRational("0.0", 0)
     assert GaussianRational(0, "1/3") and half
@@ -800,7 +819,8 @@ def test_gaussian_rational_value_semantics():
 def test_polynomials_pickle_at_every_protocol():
     P = data.charpoly("sqrt_branch")
     for value in (P, P.coeffs[0], RationalPoly.zero(),
-                  RationalPoly([GaussianRational("1/2", -3), 0, "2/9"])):
+                  RationalPoly([GaussianRational("1/2", -3), 0, "2/9"]),
+                  GaussianRational(1, 2), GaussianRational("-1/3")):
         for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
             clone = pickle.loads(pickle.dumps(value, protocol))
             assert type(clone) is type(value) and clone == value

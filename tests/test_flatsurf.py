@@ -307,6 +307,13 @@ def test_origami_reads_each_gluing_once():
     assert build_origami(2, [2, 1], (x for x in [1, 2])) == Origami([2, 1], [1, 2])
 
 
+def test_origami_hashes_and_shows_its_gluings():
+    a = Origami([2, 1], [1, 2])
+    assert hash(a) == hash(Origami([2, 1], [1, 2]))
+    assert len({a, Origami([2, 1], [1, 2]), Origami([1, 2], [2, 1])}) == 2
+    assert repr(a) == "Origami(h=[2, 1], v=[1, 2])"
+
+
 def _read_text(tmp_path, text):
     """text parsed by the package's JSON reader, as the CLI parses a file."""
     path = tmp_path / "origami.json"

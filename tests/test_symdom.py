@@ -656,13 +656,16 @@ def test_monodromy_starts_at_the_largest_real_root():
     assert monodromy_branch_index(P, 0.005) == loop_track_top_branch(P, 0.005, 512) == 1
 
 
-def test_monodromy_refuses_a_top_branch_it_cannot_prove_real():
+def test_monodromy_refuses_a_top_branch_it_cannot_prove_real(monkeypatch):
     with pytest.raises(BranchPointOnCircle, match="no root at t = radius is proved real"):
         monodromy_branch_index(biv([1], [], [1]), 0.01)                 # y^2 + 1
+    # a non-real coefficient is refused before any point of the circle is solved
+    solved = recording(monkeypatch, "_roots_at")
     nonreal = BivariatePolynomial([RationalPoly([GaussianRational(0, "1/4"), -1]),
                                    RationalPoly.zero(), RationalPoly.one()])
     with pytest.raises(BranchPointOnCircle, match="non-real coefficient"):
         monodromy_branch_index(nonreal, 0.01)                           # y^2 - t + i/4
+    assert not solved
 
 
 def test_nearest_match_is_the_optimal_assignment():
@@ -1092,6 +1095,30 @@ def test_smoothness_report_carries_its_branch_and_charpoly():
     rep = smoothness_report_from_charpoly(SQRT_BRANCH, 0.05)
     assert rep.charpoly is SQRT_BRANCH
     assert (rep.branch.K, rep.branch.top_at_zero, rep.K) == (2, 0, 4)
+
+
+def test_report_fits_once_at_distance_index_one(monkeypatch):
+    # at distance index 1 the fit in t**(1/K) is the naive fit, taken once
+    fits = recording(monkeypatch, "_fit_residual")
+    for make, indices in ((lambda: smoothness_report(DIAG_PATH, 0.1), [1]),
+                          (lambda: smoothness_report_from_charpoly(
+                              data.charpoly("analytic_pair"), 0.1), [1]),
+                          (lambda: smoothness_report_from_charpoly(
+                              data.charpoly("shifted_double_root"), 0.1), [1, 2])):
+        fits.clear()
+        rep = make()
+        assert [args[2] for args, _ in fits] == indices
+        assert (rep.naive_residual, rep.fit_residual) == (fits[0][1], fits[-1][1])
+
+
+@pytest.mark.parametrize("entries, message", [
+    ([[RationalPoly.zero(), RationalPoly.zero()], [RationalPoly.zero()]], "ragged entry rows"),
+    ([], "path needs at least one entry"),
+    ([[], []], "path needs at least one entry"),
+], ids=["ragged", "no_rows", "empty_rows"])
+def test_path_refuses_a_malformed_matrix(entries, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        PolynomialMatrixPath(entries)
 
 
 def test_smoothness_constant_path():
